@@ -79,10 +79,23 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _read_bytes(path: str) -> bytes:
+    """Graph and configuration files: the parsers take bytes undecoded."""
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def _load_graph_config(args) -> tuple[Graph, "object"]:
-    g = parse_graph(_read(args.graph))
-    y = parse_config(_read(args.config), g.n)
+    g = parse_graph(_read_bytes(args.graph))
+    y = parse_config(_read_bytes(args.config), g.n)
     return g, y
+
+
+def _decimal(x: int) -> str:
+    """Decimal digits of any int, independent of the int-to-str digit limit."""
+    from decimal import Decimal
+
+    return str(Decimal(x))
 
 
 def _parse_assignment(text: str, num_vars: int) -> list[bool]:
@@ -105,7 +118,7 @@ def _cmd_step(args) -> int:
 
 def _cmd_verify(args) -> int:
     g, y = _load_graph_config(args)
-    candidate = parse_config(_read(args.candidate), g.n)
+    candidate = parse_config(_read_bytes(args.candidate), g.n)
     if is_predecessor(g, args.k, candidate, y):
         print("YES")
         return EXIT_YES
@@ -140,9 +153,11 @@ def _cmd_pre(args) -> int:
 def _cmd_count(args) -> int:
     g, y = _load_graph_config(args)
     method = args.method
-    if method == "auto":
+    if method != "oracle":  # "auto" and "tree" share one is_tree BFS
         if is_tree(g):
             method = "tree"
+        elif method == "tree":
+            raise ValueError("method tree requires a tree graph")
         elif g.n <= args.oracle_limit:
             method = "oracle"
         else:
@@ -150,12 +165,10 @@ def _cmd_count(args) -> int:
                 "counting is available for trees and brute-force-sized instances only"
             )
     if method == "tree":
-        if not is_tree(g):
-            raise ValueError("method tree requires a tree graph")
         total = count_predecessors_tree(root_tree(g, 0), args.k, y)
     else:
         total = oracle.count_predecessors_bruteforce(g, args.k, y, limit=args.oracle_limit)
-    print(total)
+    print(_decimal(total))
     return EXIT_YES if total > 0 else EXIT_NO
 
 
@@ -301,6 +314,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

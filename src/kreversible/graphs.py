@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _STATE_TOKENS = {"+1": 1, "-1": -1, "+": 1, "-": -1}
+_INT64_MAX = 2**63 - 1
 
 
 class Graph:
@@ -41,7 +42,12 @@ class Graph:
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        e = np.asarray(edges, dtype=np.int64)
+        if n > _INT64_MAX:
+            raise ValueError("vertex count must fit in int64")
+        try:
+            e = np.asarray(edges, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("edge endpoint out of range") from None
         if e.size == 0:
             e = e.reshape(0, 2)
         if e.ndim != 2 or e.shape[1] != 2:
@@ -160,12 +166,54 @@ def _decode(text) -> str:
     return text
 
 
-def parse_graph(text) -> Graph:
-    """Parse the graph file format.
+def _ascii_bytes(text) -> np.ndarray | None:
+    """The input as a uint8 array, or None if a str is not pure ASCII."""
+    if isinstance(text, str):
+        if not text.isascii():
+            return None
+        text = text.encode("ascii")
+    return np.frombuffer(text, dtype=np.uint8)
 
-    First significant line is ``n m``, followed by exactly m lines ``u v``.
-    Lines starting with ``#`` and blank lines are ignored.
+
+# Longest token the canonical fast path reads: 18 digits always fit in int64,
+# while np.fromstring silently clamps longer ones.
+_MAX_FAST_DIGITS = 18
+
+
+def _parse_graph_canonical(text) -> Graph | None:
+    """Vectorised parse of a graph file in canonical shape, else None.
+
+    Canonical means: only ASCII digits, spaces, tabs and newlines; every
+    non-blank line holds exactly two tokens of at most 18 digits; and the
+    body has exactly m lines.  Such a file reads the same under
+    :func:`_parse_graph_lines`, which handles every other input.
     """
+    a = _ascii_bytes(text)
+    if a is None:
+        return None
+    digit = (a - np.uint8(48)) < 10
+    nl = a == 10
+    if np.count_nonzero(digit | nl | (a == 32) | (a == 9)) != a.size:
+        return None
+    # Token boundaries alternate: start, end, start, end, ...
+    bounds = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+    starts, ends = bounds[0::2], bounds[1::2]
+    if starts.size < 2 or starts.size % 2 or int((ends - starts).max()) > _MAX_FAST_DIGITS:
+        return None
+    # Whether a newline lies between each token start and the next one:
+    # tokens 2i and 2i+1 must share a line, tokens 2i+1 and 2i+2 must not.
+    broken = np.logical_or.reduceat(nl, starts)
+    if broken[0::2].any() or not broken[1:-1:2].all():
+        return None
+    tok = np.fromstring(a, dtype=np.int64, sep=" ")
+    n, m = int(tok[0]), int(tok[1])
+    if tok.size != 2 * m + 2:
+        return None
+    return Graph(n, tok[2:].reshape(m, 2))
+
+
+def _parse_graph_lines(text) -> Graph:
+    """Line-by-line parser for the full grammar; the source of every error message."""
     lines = [
         ln.split()
         for ln in _decode(text).splitlines()
@@ -182,6 +230,8 @@ def parse_graph(text) -> Graph:
         raise ValueError("header must contain two integers") from None
     if n < 0 or m < 0:
         raise ValueError("header counts must be nonnegative")
+    if n > _INT64_MAX or m > _INT64_MAX:
+        raise ValueError("header counts must fit in int64")
     body = lines[1:]
     if len(body) != m:
         raise ValueError(f"expected {m} edge lines, found {len(body)}")
@@ -196,14 +246,39 @@ def parse_graph(text) -> Graph:
     return Graph(n, edges)
 
 
+def parse_graph(text) -> Graph:
+    """Parse the graph file format (str or bytes).
+
+    First significant line is ``n m``, followed by exactly m lines ``u v``.
+    Lines starting with ``#`` and blank lines are ignored.
+    """
+    g = _parse_graph_canonical(text)
+    return g if g is not None else _parse_graph_lines(text)
+
+
 def write_graph(g: Graph) -> str:
     out = [f"{g.n} {g.m}"]
     out.extend(f"{u} {v}" for u, v in g.edges)
     return "\n".join(out) + "\n"
 
 
-def parse_config(text, n: int) -> np.ndarray:
-    """Parse n whitespace-separated state tokens (+1, -1, +, -)."""
+def _parse_config_canonical(text, n: int) -> np.ndarray | None:
+    """Vectorised parse of the canonical ``+1 -1 ...`` layout, else None.
+
+    Canonical means each token is ``+1`` or ``-1`` and is followed by one
+    space or newline (the last one may end the file instead).
+    """
+    a = _ascii_bytes(text)
+    if a is None or a.size not in (3 * n, 3 * n - 1):
+        return None
+    sign, one, sep = a[0::3], a[1::3], a[2::3]
+    plus = sign == 43
+    if not ((plus | (sign == 45)).all() and (one == 49).all() and ((sep == 32) | (sep == 10)).all()):
+        return None
+    return np.where(plus, np.int8(1), np.int8(-1))
+
+
+def _parse_config_tokens(text, n: int) -> np.ndarray:
     tokens = _decode(text).split()
     if len(tokens) != n:
         raise ValueError(f"expected {n} state tokens, found {len(tokens)}")
@@ -214,9 +289,23 @@ def parse_config(text, n: int) -> np.ndarray:
     return np.array(states, dtype=np.int8)
 
 
+def parse_config(text, n: int) -> np.ndarray:
+    """Parse n whitespace-separated state tokens (+1, -1, +, -)."""
+    y = _parse_config_canonical(text, n)
+    return y if y is not None else _parse_config_tokens(text, n)
+
+
 def format_config(y) -> str:
     """Canonical serialization: +1/-1 tokens, space separated."""
-    return " ".join("+1" if s > 0 else "-1" for s in np.asarray(y)) + "\n"
+    y = np.asarray(y)
+    if y.size == 0:
+        return "\n"
+    out = np.empty((y.size, 3), dtype=np.uint8)
+    out[:, 0] = np.where(y > 0, np.uint8(43), np.uint8(45))
+    out[:, 1] = 49
+    out[:, 2] = 32
+    out[-1, 2] = 10
+    return out.tobytes().decode("ascii")
 
 
 def as_config(y, n: int) -> np.ndarray:

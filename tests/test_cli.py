@@ -1,9 +1,21 @@
 """Command-line interface: routing, formats, exit codes, file round trips."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from kreversible import parse_config, parse_graph, step
+from kreversible import (
+    Graph,
+    count_predecessors_tree,
+    format_config,
+    parse_config,
+    parse_graph,
+    root_tree,
+    step,
+    write_graph,
+)
+from kreversible import cli
 from kreversible.cli import choose_method, main
 from helpers import cycle_graph, path_graph
 
@@ -127,6 +139,60 @@ def test_count_hub_spokes_example(tmp_path, capsys):
         rc = main(["count", "--graph", g, "--config", y, "--k", "2", "--method", method])
         assert rc == 0
         assert capsys.readouterr().out == "8\n"
+
+
+def test_count_routes_with_one_tree_check(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting_is_tree(g):
+        calls.append(g)
+        return g.m == g.n - 1
+
+    monkeypatch.setattr(cli, "is_tree", counting_is_tree)
+    y = write(tmp_path, "y", ALL_PLUS3)
+    assert main(["count", "--graph", write(tmp_path, "g", P3), "--config", y, "--k", "2"]) == 0
+    assert capsys.readouterr().out == "2\n" and len(calls) == 1
+    tri = write(tmp_path, "t", "3 3\n0 1\n1 2\n0 2\n")
+    assert main(["count", "--graph", tri, "--config", y, "--k", "2", "--method", "tree"]) == 2
+    assert "method tree requires a tree graph" in capsys.readouterr().err
+    assert main(["count", "--graph", tri, "--config", y, "--k", "2", "--oracle-limit", "2"]) == 2
+    assert "counting is available" in capsys.readouterr().err
+
+
+def test_count_prints_past_the_int_to_str_limit(tmp_path, capsys):
+    g = path_graph(4000)
+    y = np.ones(g.n, dtype=np.int8)
+    expected = count_predecessors_tree(root_tree(g, 0), 2, y)
+    argv = ["count", "--graph", write(tmp_path, "g", write_graph(g)),
+            "--config", write(tmp_path, "y", format_config(y)), "--k", "2"]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert expected > 10 ** 640
+        rc = main(argv)
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert rc == 0
+    assert capsys.readouterr().out == f"{expected}\n"
+
+
+def test_oversized_inputs_are_exit_2(tmp_path, capsys, monkeypatch):
+    y = write(tmp_path, "y", "+1 +1\n")
+    rc = main(["pre", "--graph", write(tmp_path, "g", "2 1\n99999999999999999999 1\n"),
+               "--config", y, "--k", "1"])
+    assert rc == 2
+    assert "edge endpoint out of range" in capsys.readouterr().err
+
+    def out_of_memory(self, n, edges=()):
+        raise MemoryError(f"Unable to allocate the CSR arrays of {n} vertices")
+
+    # Stands in for the allocation a 5·10^9-vertex header asks for.
+    monkeypatch.setattr(Graph, "__init__", out_of_memory)
+    rc = main(["pre", "--graph", write(tmp_path, "h", "5000000000 0\n"),
+               "--config", y, "--k", "1"])
+    assert rc == 2
+    assert "out of memory" in capsys.readouterr().err
 
 
 def test_reduce_witness_verify_pipeline(tmp_path, capsys):

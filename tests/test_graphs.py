@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kreversible import (
     Graph,
@@ -15,6 +15,12 @@ from kreversible import (
     parse_graph,
     root_tree,
     write_graph,
+)
+from kreversible.graphs import (
+    _parse_config_canonical,
+    _parse_config_tokens,
+    _parse_graph_canonical,
+    _parse_graph_lines,
 )
 from helpers import all_labeled_trees, cycle_graph, path_graph, relabel, star_graph
 
@@ -47,6 +53,7 @@ def test_parse_comments_and_blanks():
         ("x y\n1 2\n", "integers"),
         ("", "empty"),
         ("2 1\n0 1 2\n", "edge line"),
+        ("2 1\n99999999999999999999 1\n", "edge endpoint out of range"),
     ],
 )
 def test_parse_graph_errors(text, fragment):
@@ -148,3 +155,186 @@ def test_relabeling_preserves_structure(gp):
 def test_graph_write_parse_roundtrip(gp):
     g, _ = gp
     assert parse_graph(write_graph(g)) == g
+
+
+def test_header_counts_must_fit_in_int64():
+    with pytest.raises(ValueError, match="fit in int64"):
+        parse_graph("99999999999999999999 0\n")
+    with pytest.raises(ValueError, match="fit in int64"):
+        Graph(2**63, [])
+
+
+def _outcome(parse, *args):
+    """A parser's result, or the message of the ValueError it raised."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+# Stray characters: str.splitlines line breaks the fast path must not accept,
+# a non-ASCII digit, and a byte just past '9'.
+_STRAY = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u0663", ":", "\r"]
+
+
+@st.composite
+def graph_texts(draw):
+    """(canonical, text): a canonical graph file with up to two edits.
+
+    The edits "blank" and "no_tail" keep the canonical shape; every other
+    edit reaches a corner of the grammar that only the line parser reads.
+    """
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if pairs and draw(st.booleans()):
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8))
+    else:  # loops, duplicates and out-of-range endpoints
+        edges = draw(st.lists(st.tuples(st.integers(0, n + 1), st.integers(0, n + 1)), max_size=6))
+    rows = [[str(n), str(len(edges))]] + [[str(u), str(v)] for u, v in edges]
+    eol, tail, stray = "\n", "\n", None
+    edits = draw(st.lists(st.sampled_from([
+        "blank", "comment", "crlf", "plus", "zeros", "d19", "d20", "bad", "drop_line", "add_line",
+        "one_token", "three_tokens", "merge", "reflow", "stray", "no_tail",
+    ]), max_size=2))
+    canonical = all(e in ("blank", "no_tail") for e in edits)
+    for edit in edits:  # rows: token lists, and str for blank and comment lines
+        r = draw(st.integers(0, len(rows) - 1))
+        c = draw(st.integers(0, 1))
+        data = isinstance(rows[r], list)
+        if edit == "blank":
+            rows.insert(r, draw(st.sampled_from(["", " ", "\t "])))
+        elif edit == "comment":
+            rows.insert(r, draw(st.sampled_from(["# note", " #0 1", "#"])))
+        elif edit == "crlf":
+            eol = tail = draw(st.sampled_from(["\r\n", "\r"]))
+        elif edit == "no_tail":
+            tail = ""
+        elif edit in ("plus", "zeros", "d19", "d20", "bad") and data and len(rows[r]) > c:
+            tok = rows[r][c]
+            if edit == "plus":
+                tok = "+" + tok
+            elif edit == "zeros":
+                tok = "0" * draw(st.integers(1, 20)) + tok
+            elif edit == "d19":  # 10**18 fits in int64, so it is never the vertex count
+                big = ["9" * 19, "0" * 18 + tok[-1]]
+                first = c == 0 and not any(isinstance(row, list) for row in rows[:r])
+                tok = draw(st.sampled_from(big if first else big + ["1" + "0" * 18]))
+            elif edit == "d20":
+                tok = draw(st.sampled_from(["9" * 20, "1" + "0" * 19, "0" * 19 + tok[-1]]))
+            else:
+                tok = draw(st.sampled_from(["x", "-1", "1.0", "\u0663", "1:2"]))
+            rows[r][c] = tok
+        elif edit == "drop_line" and len(rows) > 1:
+            del rows[draw(st.integers(1, len(rows) - 1))]
+        elif edit == "add_line":
+            rows.append(["0", "1"])
+        elif edit == "one_token" and data:
+            rows[r] = rows[r][:1]
+        elif edit == "three_tokens" and data:
+            rows[r] = rows[r] + ["0"]
+        elif edit == "merge" and data and r + 1 < len(rows) and isinstance(rows[r + 1], list):
+            rows[r:r + 2] = [rows[r] + rows[r + 1]]
+        elif edit == "reflow":  # same tokens, lines of 1 to 3 tokens
+            flat = [t for row in rows if isinstance(row, list) for t in row]
+            rows = []
+            while flat:
+                k = draw(st.integers(1, 3))
+                rows.append(flat[:k])
+                flat = flat[k:]
+        elif edit == "stray":
+            stray = draw(st.sampled_from(_STRAY))
+    sep = st.sampled_from([" ", "\t", "  ", " \t"])
+    lines = []
+    for row in rows:
+        if isinstance(row, str):
+            lines.append(row)
+            continue
+        line = draw(sep).join(row)
+        if draw(st.integers(0, 3)) == 3:
+            line = draw(sep) + line + draw(sep)
+        lines.append(line)
+    text = eol.join(lines) + tail
+    if stray is not None:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + stray + text[at:]
+    if draw(st.booleans()):
+        return canonical, text.encode("utf-8")
+    return canonical, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_texts())
+@example(case=(False, "99999999999999999999 0\n"))  # np.fromstring would clamp it
+@example(case=(False, "3\n1\n0\n1\n"))  # one token per line
+@example(case=(False, "3 1 0 1\n"))  # two pairs on one line
+@example(case=(False, "3 1\n0 1\n1 2\n"))  # one line too many
+@example(case=(False, "3 1\n0 1:\n"))  # ':' follows '9'
+@example(case=(False, "3 1\n0\x0b1\n"))  # a line break to str.splitlines
+def test_graph_fast_path_agrees_with_line_parser(case):
+    canonical, text = case
+    expected = _outcome(_parse_graph_lines, text)
+    if canonical:
+        assert _same(_outcome(_parse_graph_canonical, text), expected)
+    assert _same(_outcome(parse_graph, text), expected)
+
+
+@st.composite
+def config_texts(draw):
+    """(n, canonical, text): a ``+1 -1 ...`` file, with up to two edits."""
+    n = draw(st.integers(0, 12))
+    toks = draw(st.lists(st.sampled_from(["+1", "-1"]), min_size=n, max_size=n))
+    seps = [draw(st.sampled_from([" ", "\n"])) for _ in toks]
+    lead = ""
+    edits = draw(st.lists(st.sampled_from(
+        ["no_tail", "sep", "token", "drop", "add", "lead"]), max_size=2))
+    canonical = all(e == "no_tail" for e in edits)
+    for edit in edits:
+        i = draw(st.integers(0, max(len(toks) - 1, 0)))
+        if edit == "no_tail" and seps:
+            seps[-1] = ""
+        elif edit == "sep" and seps:
+            seps[i] = draw(st.sampled_from(["\t", "  ", "\r\n", "", "x", "1", "\x0b", "\x85"]))
+        elif edit == "token" and toks:
+            toks[i] = draw(st.sampled_from(["+", "-", "0", "1", "x", "+0", "-x", "++", "1+", "\u0663"]))
+        elif edit == "drop" and toks:
+            del toks[i], seps[i]
+        elif edit == "add":
+            toks.insert(i, draw(st.sampled_from(["+1", "-1"])))
+            seps.insert(i, " ")
+        elif edit == "lead":
+            lead = draw(st.sampled_from([" ", "\n", "\t"]))
+    text = lead + "".join(t + s for t, s in zip(toks, seps))
+    if draw(st.booleans()):
+        return n, canonical, text.encode("utf-8")
+    return n, canonical, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(config_texts())
+@example(case=(2, False, "+0 -1\n"))
+@example(case=(2, False, "01 -1\n"))
+@example(case=(2, False, "+1x-1\n"))
+@example(case=(2, False, "+1 -1 +1\n"))
+def test_config_fast_path_agrees_with_token_parser(case):
+    n, canonical, text = case
+    expected = _outcome(_parse_config_tokens, text, n)
+    if canonical:
+        assert _same(_parse_config_canonical(text, n), expected)
+    assert _same(_outcome(parse_config, text, n), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([-1, 1]), max_size=40))
+def test_format_config_roundtrip(states):
+    y = np.array(states, dtype=np.int8)
+    text = format_config(y)
+    assert text == " ".join("+1" if s > 0 else "-1" for s in states) + "\n"
+    if states:
+        assert np.array_equal(_parse_config_canonical(text, len(states)), y)
+    assert _same(parse_config(text, len(states)), y)
