@@ -33,13 +33,23 @@ def step(g: Graph, k: int, y) -> np.ndarray:
 
 
 def simulate(g: Graph, k: int, y, t: int) -> np.ndarray:
-    """t-fold composition of step; t=0 returns the (validated) input."""
+    """t-fold composition of step; t=0 returns the (validated) input.
+
+    Stops as soon as y_i == y_{i-2}: step is deterministic, so the orbit
+    then alternates between y_i and y_{i-1}, and the parity of the steps
+    left picks the answer.  Any t, however large, costs at most the
+    transient plus two steps.
+    """
     check_k(k)
     if int(t) != t or t < 0:
         raise ValueError(f"step count must be nonnegative, got {t!r}")
-    y = as_config(y, g.n)
-    for _ in range(int(t)):
-        y = step(g, k, y)
+    t = int(t)
+    older, y = None, as_config(y, g.n)
+    for done in range(1, t + 1):
+        nxt = step(g, k, y)
+        if older is not None and np.array_equal(nxt, older):
+            return nxt if (t - done) % 2 == 0 else y
+        older, y = y, nxt
     return y
 
 

@@ -87,7 +87,10 @@ def random_graph(n: int, m: int, seed: int) -> Graph:
         keep = u != v
         lo = np.minimum(u[keep], v[keep])
         hi = np.maximum(u[keep], v[keep])
-        codes = np.unique(np.concatenate([codes, lo * n + hi]))
+        # Sort and drop repeats: the same sorted codes as np.unique, without
+        # numpy's much slower hash-based path.
+        codes = np.sort(np.concatenate([codes, lo * n + hi]))
+        codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
     codes = np.sort(rng.choice(codes, size=m, replace=False))
     return Graph(n, np.stack([codes // n, codes % n], axis=1))
 

@@ -307,6 +307,16 @@ def test_criterion_7_scaling_smoke():
     ok = ok and dt < 10 and w is not None
     details.append(f"tree n=10^6: {dt:.1f}s<10s")
 
+    # A path is the deepest tree: rooting and deciding it must cost no more
+    # than the random tree above.
+    g = Graph(n, np.stack([np.arange(n - 1), np.arange(1, n)], axis=1))
+    y = step(g, 2, random_config(n, seed=85))
+    t0 = time.perf_counter()
+    w = find_predecessor_tree(root_tree(g, 0), 2, y)
+    dt = time.perf_counter() - t0
+    ok = ok and dt < 10 and w is not None
+    details.append(f"path n=10^6: {dt:.1f}s<10s")
+
     g = random_tree(2000, seed=79)
     t = root_tree(g, 0)
     y = step(g, 2, random_config(2000, seed=80))

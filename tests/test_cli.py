@@ -69,6 +69,14 @@ def test_step_command_multiple_steps(tmp_path, capsys):
     ])
     assert rc == 0
     assert capsys.readouterr().out == "+1 -1 +1 -1\n"
+    # the period-2 orbit is detected, so an astronomic step count returns at once
+    for steps, out in (("1000000000000", "+1 -1 +1 -1\n"), ("1000000000001", "-1 +1 -1 +1\n")):
+        rc = main([
+            "step", "--graph", str(tmp_path / "g"), "--config", str(tmp_path / "y"),
+            "--k", "1", "--steps", steps,
+        ])
+        assert rc == 0
+        assert capsys.readouterr().out == out
 
 
 def test_verify_command(tmp_path, capsys):
@@ -258,6 +266,25 @@ def test_gen_is_byte_identical_per_seed(tmp_path, capsys):
         assert main(args) == 0
         assert capsys.readouterr().out == first
         assert first
+
+
+def test_random_graph_output_is_pinned_per_seed():
+    # SHA-256 of write_graph(random_graph(n, m, seed)), recorded from the
+    # np.unique-based generator; any rewrite must keep these bytes.
+    import hashlib
+
+    from kreversible.generators import random_graph
+
+    pinned = {
+        (5000, 20000, 0): "b349be1b573c903a8836a93a50f04bec694e375a2a594f1de6a5de17258f60f7",
+        (5000, 20000, 1): "38910a647b164afd32e61e5d43afb381496487fb5b126e02136068b5dc6d850c",
+        (5000, 20000, 7): "2582428f5e9f722ecfca265c159a90aba9a49be9f88ba95f3c709919dfdd379e",
+        (5000, 20000, 2024): "93be7555226c4bd71c943696425edf39c2ce8231706a06947399cabd7db7783a",
+        (2049, 1, 5): "5892379de7a21cc3d021b1fc94aebd0f6d50eeeae52b4531b501983f17c3e478",
+    }
+    for args, digest in pinned.items():
+        text = write_graph(random_graph(*args))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, args
 
 
 def test_gen_outputs_parse_and_validate(tmp_path, capsys):

@@ -5,6 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kreversible import Graph, is_predecessor, max_degree, simulate, step
+from kreversible.generators import (
+    hub_spokes_tree,
+    random_bounded_degree_graph,
+    random_graph,
+    random_regular_graph,
+    random_tree,
+)
 from helpers import all_configs, cycle_graph, path_graph, relabel
 
 
@@ -42,6 +49,37 @@ def test_simulate_period_two_cycle():
     y = [1, -1, 1, -1]
     assert simulate(cycle_graph(4), 1, y, 1).tolist() == [-1, 1, -1, 1]
     assert simulate(cycle_graph(4), 1, y, 2).tolist() == y
+
+
+def _iterate(g, k, y, t):
+    """Reference: plain t-fold iteration of step, no early stop."""
+    y = np.asarray(y, dtype=np.int8)
+    for _ in range(t):
+        y = step(g, k, y)
+    return y
+
+
+def _families():
+    yield "tree", random_tree(12, seed=1)
+    yield "path", path_graph(9)
+    yield "cycle", cycle_graph(8)
+    yield "cubic", random_regular_graph(12, 3, seed=2)
+    yield "deg3", random_bounded_degree_graph(11, 3, seed=3)
+    yield "gnm", random_graph(10, 25, seed=4)
+    yield "hub", hub_spokes_tree(3)
+
+
+def test_simulate_early_stop_matches_plain_iteration():
+    rng = np.random.default_rng(5)
+    for name, g in _families():
+        for k in (1, 2, 3):
+            for _ in range(4):
+                y = rng.choice(np.array([-1, 1], dtype=np.int8), size=g.n)
+                for t in range(13):
+                    assert np.array_equal(simulate(g, k, y, t), _iterate(g, k, y, t)), (name, k, t)
+                # well past any transient, the orbit has period at most 2
+                for t, ref in ((10**12, 2 * g.n + 40), (10**12 + 1, 2 * g.n + 41)):
+                    assert np.array_equal(simulate(g, k, y, t), _iterate(g, k, y, ref)), (name, k, t)
 
 
 def test_is_predecessor_examples():

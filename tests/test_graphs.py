@@ -1,9 +1,15 @@
 """Parsing, serialization, and structural queries."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import kreversible
+from kreversible import graphs
 from kreversible import (
     Graph,
     connected_components,
@@ -22,6 +28,7 @@ from kreversible.graphs import (
     _parse_graph_canonical,
     _parse_graph_lines,
 )
+from kreversible.generators import tree_from_pruefer
 from helpers import all_labeled_trees, cycle_graph, path_graph, relabel, star_graph
 
 
@@ -128,6 +135,82 @@ def test_rooted_tree_child_partition():
             seen.extend(t.children(v))
         assert sorted(seen) == [v for v in range(6) if v != 0]
         assert all(t.children(v) == sorted(t.children(v)) for v in range(6))
+
+
+# _bfs_from takes the list loop at or below graphs._SMALL_N vertices and
+# scipy's compiled BFS above it; each cutoff forces one path on any graph.
+_BFS_PATHS = {"list": sys.maxsize, "scipy": -1}
+
+
+def _bfs_trees(n):
+    rng = np.random.default_rng(n)
+    yield path_graph(n)
+    if n > 2:
+        for _ in range(3):
+            yield tree_from_pruefer(rng.integers(0, n, size=n - 2).tolist())
+
+
+@pytest.mark.parametrize("n", [1, 2, graphs._SMALL_N, graphs._SMALL_N + 1, 2000])
+def test_bfs_paths_root_trees_alike(monkeypatch, n):
+    for g in _bfs_trees(n):
+        for root in sorted({0, n // 2, n - 1}):
+            rooted = {}
+            for name, cutoff in _BFS_PATHS.items():
+                monkeypatch.setattr(graphs, "_SMALL_N", cutoff)
+                assert is_tree(g)
+                rooted[name] = root_tree(g, root)
+            a, b = rooted["list"], rooted["scipy"]
+            assert a.parent == b.parent
+            assert a.child_slices() == b.child_slices()
+            for t in (a, b):
+                assert sorted(t.bfs_order) == list(range(n))
+                pos = {v: i for i, v in enumerate(t.bfs_order)}
+                assert pos[root] == 0
+                assert all(pos[t.parent[v]] < pos[v] for v in range(n) if v != root)
+
+
+@pytest.mark.parametrize("g", [
+    cycle_graph(40),
+    # m = n - 1: a triangle plus a path, so the graph is disconnected
+    Graph(40, [(0, 1), (1, 2), (0, 2)] + [(i, i + 1) for i in range(3, 39)]),
+    # m < n - 1: two paths
+    Graph(40, [(i, i + 1) for i in range(19)] + [(i, i + 1) for i in range(20, 39)]),
+], ids=["cycle", "disconnected-m=n-1", "forest"])
+def test_bfs_paths_reject_non_trees_alike(monkeypatch, g):
+    errors, verdicts, searches = {}, {}, {}
+    for name, cutoff in _BFS_PATHS.items():
+        monkeypatch.setattr(graphs, "_SMALL_N", cutoff)
+        verdicts[name] = is_tree(g)
+        with pytest.raises(ValueError, match="not a tree") as exc:
+            root_tree(g, 0)
+        errors[name] = str(exc.value)
+        parent, order = graphs._bfs_from(g, 0)
+        searches[name] = (parent.tolist(), sorted(order.tolist()))
+    assert errors["list"] == errors["scipy"]
+    assert verdicts == {"list": False, "scipy": False}
+    assert searches["list"] == searches["scipy"]
+    parent, reached = searches["list"]
+    assert all(parent[v] == -1 for v in set(range(g.n)) - set(reached))
+
+
+def test_small_tree_routes_never_import_scipy():
+    # Tiny-instance callers (the oracle-equivalence sweeps) must not pay
+    # scipy's import time and memory.
+    code = (
+        "import sys\n"
+        "import kreversible as kr\n"
+        "g = kr.Graph(7, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (5, 6)])\n"
+        "assert kr.is_tree(g)\n"
+        "t = kr.root_tree(g, 0)\n"
+        "y = kr.step(g, 2, [1, -1, 1, -1, 1, -1, 1])\n"
+        "assert kr.find_predecessor_tree(t, 2, y) is not None\n"
+        "assert kr.count_predecessors_tree(t, 2, y) > 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kreversible.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @st.composite
