@@ -68,17 +68,8 @@ def random_config(n: int, seed: int) -> np.ndarray:
     return np.array([rng.choice((-1, 1)) for _ in range(n)], dtype=np.int8)
 
 
-def random_graph(n: int, m: int, seed: int) -> Graph:
-    """Uniform random simple graph with exactly m edges."""
-    limit = n * (n - 1) // 2
-    if m > limit:
-        raise ValueError(f"m={m} exceeds the {limit} possible edges")
-    if n <= 2048:
-        rng = random.Random(seed)
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        chosen = rng.sample(pairs, m)
-        return Graph(n, chosen)
-    rng = np.random.default_rng(seed)
+def _distinct_codes(rng, n: int, m: int) -> np.ndarray:
+    """At least m distinct pair codes u * n + v (u < v), sorted, by rejection."""
     codes = np.empty(0, dtype=np.int64)
     while codes.size < m:
         want = (m - codes.size) * 2 + 16
@@ -91,7 +82,31 @@ def random_graph(n: int, m: int, seed: int) -> Graph:
         # numpy's much slower hash-based path.
         codes = np.sort(np.concatenate([codes, lo * n + hi]))
         codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
-    codes = np.sort(rng.choice(codes, size=m, replace=False))
+    return codes
+
+
+def random_graph(n: int, m: int, seed: int) -> Graph:
+    """Uniform random simple graph with exactly m edges."""
+    limit = n * (n - 1) // 2
+    if m > limit:
+        raise ValueError(f"m={m} exceeds the {limit} possible edges")
+    if n <= 2048:
+        rng = random.Random(seed)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = rng.sample(pairs, m)
+        return Graph(n, chosen)
+    rng = np.random.default_rng(seed)
+    if m <= limit // 2:
+        codes = np.sort(rng.choice(_distinct_codes(rng, n, m), size=m, replace=False))
+    else:
+        # Near the complete graph rejection needs ever more rounds, so draw
+        # the limit - m missing pairs instead and keep every other pair.
+        drop = rng.choice(_distinct_codes(rng, n, limit - m), size=limit - m, replace=False)
+        iu, iv = np.triu_indices(n, 1)
+        codes = iu * n + iv
+        keep = np.ones(limit, dtype=bool)
+        keep[np.searchsorted(codes, drop)] = False
+        codes = codes[keep]
     return Graph(n, np.stack([codes // n, codes % n], axis=1))
 
 

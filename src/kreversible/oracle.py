@@ -76,7 +76,7 @@ def _scan(g: Graph, k: int):
         return
     for lo in range(0, 1 << n, _BLOCK):
         hi = min(lo + _BLOCK, 1 << n)
-        idx = np.arange(lo, hi, dtype=np.uint32)
+        idx = np.arange(lo, hi, dtype="<u4")  # little-endian bytes on any host
         raw = np.unpackbits(idx[:, None].view(np.uint8), axis=1, bitorder="little")
         block = raw[:, n - 1::-1].astype(np.float32) * 2.0 - 1.0
         flips = (block * (block @ adj)) <= thr

@@ -4,9 +4,11 @@ Working over a rooted tree, ``forced state of v given parent state c`` is
 the state v must hold in any predecessor of the target restricted to v's
 subtree, with the parent pinned to c.  When both states work the tie breaks
 to the parent's target state (root: +1), which can only help the parent's
-own transition.  Entries are memoized, so each vertex is visited at most
-four times; an explicit stack stands in for recursion so that path graphs
-of a million vertices stay well inside interpreter limits.
+own transition.  An entry depends only on the children's entries under v's
+trial state, so one bottom-up pass over the BFS order fills both parent
+contexts of every vertex.  Each vertex's entries are read at most twice, once
+per trial state of its parent, and no recursion is involved, so a path of a
+million vertices costs no more than any other tree of that size.
 """
 
 from __future__ import annotations
@@ -64,78 +66,49 @@ def compute_forced_states(tree: RootedTree, k: int, y) -> ForcedStateTable:
     ys = config_list(y, n)
     parent = tree.parent
     cptr, cidx = tree.child_slices()
-    root = tree.root
-    # first candidate per vertex: the parent's target state (root prefers +1)
-    pref = [1 if parent[v] is None else ys[parent[v]] for v in range(n)]
     tm = [UNSET] * n
     tp = [UNSET] * n
-    root_slot = [UNSET]
+    root_out: dict[int, int] = {}
     visits = [0] * n
-    visits[root] = 1
+    visits[tree.root] = 1
+    # (parent state, table to fill): the root has one context and no parent
+    root_contexts = ((0, root_out),)
+    child_contexts = ((-1, tm), (1, tp))
 
-    # frames: vertex, parent context (-1/+1, 0 = none), code = trial*2 + phase
-    sv = [root]
-    sc = [0]
-    scode = [0]
-    while sv:
-        v = sv.pop()
-        c = sc.pop()
-        code = scode.pop()
-        trial, phase = code >> 1, code & 1
-        st = pref[v] if trial == 0 else -pref[v]
-        tblc = tm if st < 0 else tp
-        a, b = cptr[v], cptr[v + 1]
-        l = 1 if c == -st else 0
-        ok = True
-        if phase == 0:
-            missing = None
-            for fi in range(a, b):
-                f = cidx[fi]
-                visits[f] += 1
-                e = tblc[f]
-                if e == UNSET:
-                    if missing is None:
-                        missing = [f]
-                    else:
-                        missing.append(f)
-                elif e == INFEASIBLE:
-                    ok = False
-                elif e == -st:
-                    l += 1
-            if missing is not None:
-                sv.append(v)
-                sc.append(c)
-                scode.append(code | 1)
-                for f in missing:
-                    sv.append(f)
-                    sc.append(st)
-                    scode.append(0)
-                continue
-        else:
-            for fi in range(a, b):
-                e = tblc[cidx[fi]]
-                if e == INFEASIBLE:
-                    ok = False
-                elif e == -st:
-                    l += 1
+    for v in reversed(tree.bfs_order):
+        p = parent[v]
         tgt = ys[v]
-        if ok and not ((st == tgt and l >= k) or (st != tgt and l < k)):
-            value = st
-        elif trial == 0:
-            sv.append(v)
-            sc.append(c)
-            scode.append(2)
-            continue
+        kids = cidx[cptr[v]:cptr[v + 1]]
+        # first trial: the parent's target state (root: +1)
+        if p is None:
+            todo, first = root_contexts, 1
         else:
-            value = INFEASIBLE
-        if c < 0:
-            tm[v] = value
-        elif c > 0:
-            tp[v] = value
-        else:
-            root_slot[0] = value
+            todo, first = child_contexts, ys[p]
+        for st in (first, -first):
+            tbl = tm if st < 0 else tp
+            bad = l = 0
+            for f in kids:
+                visits[f] += 1
+                e = tbl[f]
+                if e == INFEASIBLE:
+                    bad += 1
+                elif e == -st:
+                    l += 1
+            if bad:
+                continue
+            left = ()
+            for ctx in todo:
+                if transition_possible(tgt, st, l + (ctx[0] == -st), k):
+                    ctx[1][v] = st
+                else:
+                    left += (ctx,)
+            todo = left
+            if not todo:
+                break
+        for _, out in todo:
+            out[v] = INFEASIBLE
 
-    return ForcedStateTable(tree, k, root_slot[0], visits, tm, tp)
+    return ForcedStateTable(tree, k, root_out[tree.root], visits, tm, tp)
 
 
 def find_predecessor_tree(tree: RootedTree, k: int, y) -> np.ndarray | None:

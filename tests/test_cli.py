@@ -287,6 +287,23 @@ def test_random_graph_output_is_pinned_per_seed():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, args
 
 
+def test_random_graph_near_complete():
+    # draws the few missing pairs, not the edges: rejection sampling of
+    # random_graph(3000, 4_490_000, 3)'s edges did not finish in 35 s
+    import time
+
+    from kreversible.generators import random_graph
+
+    cases = [(2049, 2049 * 2048 // 2 - 10, 0), (2049, 2049 * 2048 // 2, 1), (3000, 4_490_000, 3)]
+    for n, m, seed in cases:
+        started = time.perf_counter()
+        g = random_graph(n, m, seed)
+        assert time.perf_counter() - started < 30
+        eu, ev = g.edge_arrays()
+        assert g.m == m and (eu != ev).all()
+        assert np.unique(np.minimum(eu, ev) * n + np.maximum(eu, ev)).size == m
+
+
 def test_gen_outputs_parse_and_validate(tmp_path, capsys):
     assert main(["gen", "tree", "--n", "15", "--seed", "2"]) == 0
     g = parse_graph(capsys.readouterr().out)

@@ -3,6 +3,7 @@
 import itertools
 
 import numpy as np
+from hypothesis import assume, example, given, settings, strategies as st
 import pytest
 
 from kreversible import (
@@ -197,3 +198,95 @@ def test_role_map_format():
     assert lines[0] == "v 0 LITERAL_POS 1"
     assert lines[4] == "v 4 U 1 1"
     assert all(ln.startswith("v ") for ln in lines)
+
+
+@st.composite
+def dimacs_texts(draw):
+    """A small DIMACS text, often well formed, with up to three edits.
+
+    The declared variable count starts small, since a formula that parses
+    is built into a gadget whose size grows with it; a token edit may still
+    make it huge.
+    """
+    nvar = draw(st.integers(0, 5))
+    lit = st.integers(-nvar - 1, nvar + 1)
+    clauses = draw(st.lists(st.lists(lit, min_size=3, max_size=3), max_size=4))
+    rows = [["p", "cnf", str(nvar), str(len(clauses))]]
+    rows += [[str(t) for t in cl] + ["0"] for cl in clauses]
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows:
+            break
+        r = draw(st.integers(0, len(rows) - 1))
+        c = draw(st.integers(0, max(len(rows[r]) - 1, 0)))
+        edit = draw(st.sampled_from(
+            ["token", "drop_token", "drop_line", "dup_header", "comment", "merge"]))
+        if edit in ("token", "drop_token") and not rows[r]:
+            continue
+        if edit == "token":
+            rows[r][c] = draw(st.sampled_from(
+                ["0", "-0", "+1", "x", "1.0", "٣", "1_0", "c", "p", "cnf",
+                 "9" * 20, "-" + "9" * 20, "9" * 5000, ""]))
+        elif edit == "drop_token":
+            del rows[r][c]
+        elif edit == "drop_line":
+            del rows[r]
+        elif edit == "dup_header":
+            rows.insert(r, ["p", "cnf", "1", "0"])
+        elif edit == "comment":
+            rows.insert(r, ["c", draw(st.text(max_size=8))])
+        elif r + 1 < len(rows):
+            rows[r:r + 2] = [rows[r] + rows[r + 1]]
+    sep = draw(st.sampled_from([" ", "\t", "  "]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return eol.join(sep.join(row) for row in rows) + draw(st.sampled_from(["", eol]))
+
+
+def _dimacs_outcome(text):
+    try:
+        return parse_dimacs(text)
+    except ValueError as exc:
+        return exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(dimacs_texts(), st.text(max_size=60), st.binary(max_size=60)))
+@example(text="p cnf 3 1\n1 2 3 0\n")
+@example(text=b"p cnf 3 1\n1 2 \xff 0\n")  # not UTF-8
+@example(text="p cnf 3 1\n1 2 " + "9" * 5000 + " 0\n")  # past the int digit limit
+def test_parse_dimacs_returns_formula_or_value_error(text):
+    assert isinstance(_dimacs_outcome(text), (Cnf3, ValueError))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dimacs_texts(),
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from(["exactly-two", "exactly-one"]),
+    st.booleans(),
+)
+@example(text="p cnf 3 1\n1 -2 3 0\n", k=2, semantics="exactly-two", raw=False)
+@example(text="p cnf 0 0\n", k=2, semantics="exactly-two", raw=False)
+def test_reduce_cli_exits_cleanly_on_any_cnf(text, k, semantics, raw):
+    import contextlib
+    import io
+    import os
+    import tempfile
+
+    from kreversible.cli import main
+
+    parsed = _dimacs_outcome(text)
+    # a huge declared variable count parses, but builds a huge gadget
+    assume(not isinstance(parsed, Cnf3) or parsed.num_vars <= 5)
+    with tempfile.TemporaryDirectory() as tmp:
+        cnf = os.path.join(tmp, "f.cnf")
+        with open(cnf, "wb") as fh:
+            fh.write(text.encode("utf-8") + (b"\xff" if raw else b""))
+        err = io.StringIO()
+        prefix = os.path.join(tmp, "out")
+        with contextlib.redirect_stderr(err):
+            code = main(["reduce", "--cnf", cnf, "--k", str(k),
+                         "--out-prefix", prefix, "--semantics", semantics])
+    if raw or k < 2 or isinstance(parsed, ValueError):
+        assert code == 2 and err.getvalue().startswith("error: ")
+    else:
+        assert code == 0
