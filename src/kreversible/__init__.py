@@ -50,6 +50,7 @@ from .deg3 import (
     solve_2sat,
     to_dimacs,
 )
+from .route import count_predecessors, find_predecessor
 from .reduction import (
     ClauseSemantics,
     Cnf3,

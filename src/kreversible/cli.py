@@ -10,19 +10,9 @@ import argparse
 import sys
 
 from . import generators, oracle
-from .deg3 import find_predecessor_deg3, predecessor_clauses, to_dimacs
+from .deg3 import predecessor_clauses, to_dimacs
 from .dynamics import is_predecessor, simulate
-from .graphs import (
-    Graph,
-    format_config,
-    is_tree,
-    max_degree,
-    parse_config,
-    parse_graph,
-    root_tree,
-    write_graph,
-)
-from .k1 import find_predecessor_k1
+from .graphs import Graph, format_config, parse_config, parse_graph, write_graph
 from .reduction import (
     ClauseSemantics,
     build_gadget,
@@ -31,71 +21,32 @@ from .reduction import (
     parse_dimacs,
     predecessor_from_assignment,
 )
-from .tree_count import count_predecessors_tree
-from .tree_decide import find_predecessor_tree
+from .route import ROUTES, choose_method, route  # choose_method: part of the cli interface
 
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
 
-METHODS = ("auto", "pre1", "tree", "twosat", "oracle")
 
-
-def choose_method(g: Graph, k: int, requested: str, oracle_limit: int = oracle.DEFAULT_LIMIT) -> str:
-    """Resolve 'auto' to a concrete method, or validate an explicit request."""
-    if requested == "auto":
-        if k == 1:
-            return "pre1"
-        if is_tree(g):
-            return "tree"
-        if k == 2 and max_degree(g) <= 3:
-            return "twosat"
-        if g.n <= oracle_limit:
-            return "oracle"
-        raise ValueError(
-            "instance class is NP-complete in general and exceeds the brute-force limit"
-        )
-    if requested == "pre1":
-        if k != 1:
-            raise ValueError("method pre1 requires k=1")
-    elif requested == "tree":
-        if not is_tree(g):
-            raise ValueError("method tree requires a tree graph")
-    elif requested == "twosat":
-        if k != 2:
-            raise ValueError("method twosat requires k=2")
-        if max_degree(g) > 3:
-            raise ValueError("method twosat requires max degree 3")
-    elif requested == "oracle":
-        if g.n > oracle_limit:
-            raise ValueError(f"oracle limited to n <= {oracle_limit}")
-    else:
-        raise ValueError(f"unknown method {requested!r}")
-    return requested
-
-
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _read_bytes(path: str) -> bytes:
-    """Graph and configuration files: the parsers take bytes undecoded."""
+def _read(path: str) -> bytes:
+    """An input file, undecoded: the parsers take bytes."""
     with open(path, "rb") as fh:
         return fh.read()
 
 
+def _write(path: str | None, text: str) -> None:
+    """Write text to the file at path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _load_graph_config(args) -> tuple[Graph, "object"]:
-    g = parse_graph(_read_bytes(args.graph))
-    y = parse_config(_read_bytes(args.config), g.n)
+    g = parse_graph(_read(args.graph))
+    y = parse_config(_read(args.config), g.n)
     return g, y
-
-
-def _decimal(x: int) -> str:
-    """Decimal digits of any int, independent of the int-to-str digit limit."""
-    from decimal import Decimal
-
-    return str(Decimal(x))
 
 
 def _parse_assignment(text: str, num_vars: int) -> list[bool]:
@@ -118,7 +69,7 @@ def _cmd_step(args) -> int:
 
 def _cmd_verify(args) -> int:
     g, y = _load_graph_config(args)
-    candidate = parse_config(_read_bytes(args.candidate), g.n)
+    candidate = parse_config(_read(args.candidate), g.n)
     if is_predecessor(g, args.k, candidate, y):
         print("YES")
         return EXIT_YES
@@ -128,20 +79,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_pre(args) -> int:
     g, y = _load_graph_config(args)
-    method = choose_method(g, args.k, args.method, args.oracle_limit)
-    if args.dump_cnf is not None and method != "twosat":
-        raise ValueError("--dump-cnf applies only to the twosat method")
-    if method == "pre1":
-        witness = find_predecessor_k1(g, y)
-    elif method == "tree":
-        witness = find_predecessor_tree(root_tree(g, 0), args.k, y)
-    elif method == "twosat":
-        if args.dump_cnf is not None:
-            with open(args.dump_cnf, "w", encoding="utf-8") as fh:
-                fh.write(to_dimacs(predecessor_clauses(g, y)))
-        witness = find_predecessor_deg3(g, y)
-    else:
-        witness = oracle.find_predecessor_bruteforce(g, args.k, y, limit=args.oracle_limit)
+    r, x = route(g, args.k, args.method, args.oracle_limit)
+    if args.dump_cnf is not None:
+        if r.name != "twosat":
+            raise ValueError("--dump-cnf applies only to the twosat method")
+        _write(args.dump_cnf, to_dimacs(predecessor_clauses(g, y)))
+    witness = r.decide(x, args.k, y)
     if witness is None:
         print("NO")
         return EXIT_NO
@@ -152,75 +95,41 @@ def _cmd_pre(args) -> int:
 
 def _cmd_count(args) -> int:
     g, y = _load_graph_config(args)
-    method = args.method
-    if method != "oracle":  # "auto" and "tree" share one is_tree BFS
-        if is_tree(g):
-            method = "tree"
-        elif method == "tree":
-            raise ValueError("method tree requires a tree graph")
-        elif g.n <= args.oracle_limit:
-            method = "oracle"
-        else:
-            raise ValueError(
-                "counting is available for trees and brute-force-sized instances only"
-            )
-    if method == "tree":
-        total = count_predecessors_tree(root_tree(g, 0), args.k, y)
-    else:
-        total = oracle.count_predecessors_bruteforce(g, args.k, y, limit=args.oracle_limit)
-    print(_decimal(total))
+    r, x = route(g, args.k, args.method, args.oracle_limit, counting=True)
+    total = r.count(x, args.k, y)
+    from decimal import Decimal  # prints any int, past the int-to-str digit limit
+
+    print(Decimal(total))
     return EXIT_YES if total > 0 else EXIT_NO
 
 
-def _semantics(name: str) -> ClauseSemantics:
-    return ClauseSemantics.EXACTLY_ONE if name == "exactly-one" else ClauseSemantics.EXACTLY_TWO
-
-
 def _load_exactly_two(args):
-    cnf = parse_dimacs(_read(args.cnf), _semantics(args.semantics))
-    if cnf.semantics is ClauseSemantics.EXACTLY_ONE:
-        cnf = invert_literals(cnf)
-    return cnf
+    if args.semantics == "exactly-one":
+        return invert_literals(parse_dimacs(_read(args.cnf), ClauseSemantics.EXACTLY_ONE))
+    return parse_dimacs(_read(args.cnf))
 
 
 def _cmd_reduce(args) -> int:
     cnf = _load_exactly_two(args)
     inst = build_gadget(cnf, args.k)
-    prefix = args.out_prefix
-    with open(prefix + ".graph", "w", encoding="utf-8") as fh:
-        fh.write(write_graph(inst.graph))
-    with open(prefix + ".config", "w", encoding="utf-8") as fh:
-        fh.write(format_config(inst.target))
-    with open(prefix + ".map", "w", encoding="utf-8") as fh:
-        fh.write(format_role_map(inst))
+    _write(args.out_prefix + ".graph", write_graph(inst.graph))
+    _write(args.out_prefix + ".config", format_config(inst.target))
+    _write(args.out_prefix + ".map", format_role_map(inst))
     return EXIT_YES
 
 
 def _cmd_witness(args) -> int:
     cnf = _load_exactly_two(args)
     inst = build_gadget(cnf, args.k)
-    assignment = _parse_assignment(_read(args.assignment), cnf.num_vars)
+    assignment = _parse_assignment(_read(args.assignment).decode("utf-8"), cnf.num_vars)
     prior = predecessor_from_assignment(inst, assignment)
-    text = format_config(prior)
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, format_config(prior))
     return EXIT_YES
-
-
-def _emit(args, text: str) -> None:
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _cmd_gen(args) -> int:
     if args.kind == "tree":
-        _emit(args, write_graph(generators.random_tree(args.n, args.seed)))
+        _write(args.out, write_graph(generators.random_tree(args.n, args.seed)))
     elif args.kind == "graph":
         if args.regular is not None:
             g = generators.random_regular_graph(args.n, args.regular, args.seed)
@@ -232,9 +141,9 @@ def _cmd_gen(args) -> int:
             if args.m is None:
                 raise ValueError("gen graph needs --m (or --max-degree / --regular)")
             g = generators.random_graph(args.n, args.m, args.seed)
-        _emit(args, write_graph(g))
+        _write(args.out, write_graph(g))
     else:
-        _emit(args, format_config(generators.random_config(args.n, args.seed)))
+        _write(args.out, format_config(generators.random_config(args.n, args.seed)))
     return EXIT_YES
 
 
@@ -262,14 +171,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pre", help="decide predecessor existence")
     add_gc(p)
-    p.add_argument("--method", choices=METHODS, default="auto")
+    p.add_argument("--method", choices=("auto", *(r.name for r in ROUTES)), default="auto")
     p.add_argument("--oracle-limit", type=int, default=oracle.DEFAULT_LIMIT)
     p.add_argument("--dump-cnf", help="write the 2SAT instance (twosat method only)")
     p.set_defaults(func=_cmd_pre)
 
     p = sub.add_parser("count", help="count predecessor configurations")
     add_gc(p)
-    p.add_argument("--method", choices=("auto", "tree", "oracle"), default="auto")
+    p.add_argument("--method", choices=("auto", *(r.name for r in ROUTES if r.count)), default="auto")
     p.add_argument("--oracle-limit", type=int, default=oracle.DEFAULT_LIMIT)
     p.set_defaults(func=_cmd_count)
 

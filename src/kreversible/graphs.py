@@ -379,12 +379,8 @@ def root_tree(g: Graph, root: int) -> RootedTree:
     if order.size != n:
         raise ValueError("not a tree: graph is disconnected")
     nonroot = np.concatenate([np.arange(root), np.arange(root + 1, n)])
-    if nonroot.size:
-        by_parent = nonroot[np.argsort(parent_arr[nonroot] * n + nonroot)]
-        counts = np.bincount(parent_arr[nonroot], minlength=n)
-    else:
-        by_parent = nonroot
-        counts = np.zeros(n, dtype=np.int64)
+    by_parent = nonroot[np.argsort(parent_arr[nonroot] * n + nonroot)]
+    counts = np.bincount(parent_arr[nonroot], minlength=n)
     cptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=cptr[1:])
     parent = parent_arr.tolist()
@@ -437,23 +433,15 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 
 def is_bipartite(g: Graph) -> tuple[bool, np.ndarray | None]:
-    """Check bipartiteness; on success also return a witness 2-coloring."""
-    adj = g.adjacency()
-    color = np.full(g.n, -1, dtype=np.int8)
-    for s in range(g.n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        queue = [s]
-        while queue:
-            nxt = []
-            for v in queue:
-                cv = color[v]
-                for u in adj[v]:
-                    if color[u] < 0:
-                        color[u] = 1 - cv
-                        nxt.append(u)
-                    elif color[u] == cv:
-                        return False, None
-            queue = nxt
-    return True, color
+    """Check bipartiteness; on success also return a witness 2-coloring.
+
+    In the bipartite double cover vertex v splits into 2v and 2v+1 and edge
+    uv into edges (2u, 2v+1) and (2u+1, 2v); g is bipartite iff no 2v shares
+    a component with 2v+1.  Each component's smallest vertex gets color 0.
+    """
+    eu, ev = g.edge_arrays()
+    lab = component_labels(2 * g.n, np.concatenate([2 * eu, 2 * eu + 1]),
+                           np.concatenate([2 * ev + 1, 2 * ev]))
+    if (lab[0::2] == lab[1::2]).any():
+        return False, None
+    return True, (lab[0::2] > lab[1::2]).astype(np.int8)

@@ -165,6 +165,11 @@ def satisfies_semantics(cnf: Cnf3, assignment) -> bool:
     return all(sum(_lit_true(t, assignment) for t in cl) == need for cl in cnf.clauses)
 
 
+# Largest gadget build_gadget makes: the size is checked before anything is
+# allocated, since it grows with the declared variable count and with k.
+MAX_GADGET_VERTICES = 10**6
+
+
 def gadget_sizes(num_vars: int, num_clauses: int, k: int) -> tuple[int, int]:
     """Closed-form (vertices, edges) of the gadget."""
     return (
@@ -192,6 +197,9 @@ def build_gadget(cnf: Cnf3, k: int) -> GadgetInstance:
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
     k = int(k)
     nvar, ncl = cnf.num_vars, len(cnf.clauses)
+    n_expected, m_expected = gadget_sizes(nvar, ncl, k)
+    if n_expected > MAX_GADGET_VERTICES:
+        raise ValueError(f"gadget would have {n_expected} vertices, above {MAX_GADGET_VERTICES}")
     var_block = 6 * k - 6
     cl_block = 2 * k - 1
     n_u = 2 * k - 3  # pendants per literal vertex
@@ -262,7 +270,6 @@ def build_gadget(cnf: Cnf3, k: int) -> GadgetInstance:
             edges.append((c, lv))
             edges.append((cp, lv))
 
-    n_expected, m_expected = gadget_sizes(nvar, ncl, k)
     graph = Graph(n_expected, edges)
     assert len(roles) == n_expected and graph.m == m_expected
     return GadgetInstance(graph, np.array(target, dtype=np.int8), k, tuple(roles), cnf)

@@ -15,9 +15,9 @@ from kreversible import (
     step,
     write_graph,
 )
-from kreversible import cli
 from kreversible.cli import choose_method, main
-from helpers import cycle_graph, path_graph
+from kreversible.generators import random_config, random_regular_graph
+from helpers import complete_graph, cycle_graph, path_graph
 
 P3 = "3 2\n0 1\n1 2\n"
 GOE = "+1 -1 +1\n"
@@ -35,11 +35,14 @@ def test_choose_method_auto_routing():
     assert choose_method(p3, 1, "auto") == "pre1"
     assert choose_method(p3, 3, "auto") == "tree"
     assert choose_method(cycle_graph(5), 2, "auto") == "twosat"
-    assert choose_method(cycle_graph(5), 3, "auto") == "oracle"
+    # max degree 2 < k=3: no vertex can flip, at any size
+    assert choose_method(cycle_graph(5), 3, "auto") == "fixed"
+    assert choose_method(complete_graph(5), 3, "auto") == "oracle"
     big = cycle_graph(30)
     assert choose_method(big, 2, "auto") == "twosat"
+    assert choose_method(big, 3, "auto") == "fixed"
     with pytest.raises(ValueError, match="NP-complete"):
-        choose_method(big, 3, "auto")
+        choose_method(random_regular_graph(30, 3, 1), 3, "auto")
 
 
 def test_choose_method_validates_explicit_requests():
@@ -51,6 +54,8 @@ def test_choose_method_validates_explicit_requests():
         choose_method(cycle_graph(4), 3, "twosat")
     with pytest.raises(ValueError, match="oracle"):
         choose_method(cycle_graph(25), 4, "oracle")
+    with pytest.raises(ValueError, match="max degree"):
+        choose_method(cycle_graph(4), 2, "fixed")
 
 
 def test_step_command(tmp_path, capsys):
@@ -150,21 +155,50 @@ def test_count_hub_spokes_example(tmp_path, capsys):
 
 
 def test_count_routes_with_one_tree_check(tmp_path, capsys, monkeypatch):
+    # routing roots the tree once: one BFS per tree request, none off the tree route
+    from kreversible import graphs
+
     calls = []
+    bfs = graphs._bfs_from
 
-    def counting_is_tree(g):
-        calls.append(g)
-        return g.m == g.n - 1
+    def counting_bfs(g, root):
+        calls.append(g.n)
+        return bfs(g, root)
 
-    monkeypatch.setattr(cli, "is_tree", counting_is_tree)
+    monkeypatch.setattr(graphs, "_bfs_from", counting_bfs)
+    g = write(tmp_path, "g", P3)
     y = write(tmp_path, "y", ALL_PLUS3)
-    assert main(["count", "--graph", write(tmp_path, "g", P3), "--config", y, "--k", "2"]) == 0
-    assert capsys.readouterr().out == "2\n" and len(calls) == 1
+    for command, out in (("pre", "YES"), ("count", "2")):
+        for method in ("auto", "tree"):
+            calls.clear()
+            rc = main([command, "--graph", g, "--config", y, "--k", "2", "--method", method])
+            assert rc == 0 and capsys.readouterr().out.splitlines()[0] == out
+            assert len(calls) == 1, (command, method)
+    calls.clear()
+    assert main(["pre", "--graph", g, "--config", y, "--k", "1"]) == 0
+    c4 = write(tmp_path, "c4", "4 4\n0 1\n1 2\n2 3\n0 3\n")
+    y4 = write(tmp_path, "y4", "+1 +1 +1 +1\n")
+    assert main(["pre", "--graph", c4, "--config", y4, "--k", "2", "--method", "twosat"]) == 0
+    assert main(["pre", "--graph", c4, "--config", y4, "--k", "2"]) == 0
+    capsys.readouterr()
+    assert calls == []
     tri = write(tmp_path, "t", "3 3\n0 1\n1 2\n0 2\n")
     assert main(["count", "--graph", tri, "--config", y, "--k", "2", "--method", "tree"]) == 2
     assert "method tree requires a tree graph" in capsys.readouterr().err
     assert main(["count", "--graph", tri, "--config", y, "--k", "2", "--oracle-limit", "2"]) == 2
     assert "counting is available" in capsys.readouterr().err
+
+
+def test_forest_above_max_degree_is_its_own_predecessor(tmp_path, capsys):
+    # two disjoint 20-vertex paths at k=3: not a tree, but no vertex can flip
+    forest = Graph(40, [(i, i + 1) for i in range(39) if i != 19])
+    y = format_config(random_config(40, 5))
+    argv = ["--graph", write(tmp_path, "g", write_graph(forest)),
+            "--config", write(tmp_path, "y", y), "--k", "3"]
+    assert main(["pre", *argv]) == 0
+    assert capsys.readouterr().out == "YES\n" + y
+    assert main(["count", *argv]) == 0
+    assert capsys.readouterr().out == "1\n"
 
 
 def test_count_prints_past_the_int_to_str_limit(tmp_path, capsys):
@@ -230,6 +264,23 @@ def test_reduce_exactly_one_input_is_inverted(tmp_path):
     assert main(["reduce", "--cnf", direct, "--k", "2", "--out-prefix", prefix2]) == 0
     assert (tmp_path / "inv.graph").read_text() == (tmp_path / "dir.graph").read_text()
     assert (tmp_path / "inv.config").read_text() == (tmp_path / "dir.config").read_text()
+
+
+def test_reduce_rejects_oversized_gadgets(tmp_path, capsys):
+    # the size is checked before any allocation, so each input fails at once
+    one_var = write(tmp_path, "one.cnf", "p cnf 1 0\n")
+    many_vars = write(tmp_path, "many.cnf", "p cnf 100000 0\n")
+    huge = write(tmp_path, "huge.cnf", "p cnf 1000000000 0\n")
+    assignment = write(tmp_path, "a.txt", "1\n")
+    for argv in (
+        ["reduce", "--cnf", many_vars, "--k", "3", "--out-prefix", str(tmp_path / "x")],
+        ["reduce", "--cnf", huge, "--k", "2", "--out-prefix", str(tmp_path / "x")],
+        ["reduce", "--cnf", one_var, "--k", "1000000000", "--out-prefix", str(tmp_path / "x")],
+        ["witness", "--cnf", one_var, "--k", "1000000000", "--assignment", assignment],
+    ):
+        assert main(argv) == 2
+        assert "above 1000000" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x.*"))
 
 
 def test_witness_rejects_bad_assignment(tmp_path, capsys):

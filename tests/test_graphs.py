@@ -28,8 +28,8 @@ from kreversible.graphs import (
     _parse_graph_canonical,
     _parse_graph_lines,
 )
-from kreversible.generators import tree_from_pruefer
-from helpers import all_labeled_trees, cycle_graph, path_graph, relabel, star_graph
+from kreversible.generators import random_graph, random_tree, tree_from_pruefer
+from helpers import all_graphs, all_labeled_trees, cycle_graph, path_graph, relabel, star_graph
 
 
 def test_parse_path():
@@ -125,6 +125,40 @@ def test_bipartite_witness_coloring():
     assert ok
     for u, v in cycle_graph(6).edges:
         assert colors[u] != colors[v]
+
+
+def _bipartite_by_bfs(g):
+    """Reference: BFS 2-coloring from each component's smallest vertex, at color 0."""
+    adj = g.adjacency()
+    color = [-1] * g.n
+    for s in range(g.n):
+        if color[s] >= 0:
+            continue
+        color[s] = 0
+        queue = [s]
+        for v in queue:
+            for u in adj[v]:
+                if color[u] < 0:
+                    color[u] = 1 - color[v]
+                    queue.append(u)
+                elif color[u] == color[v]:
+                    return False, None
+    return True, color
+
+
+def test_bipartite_double_cover_matches_bfs():
+    graphs_ = [g for n in range(6) for g in all_graphs(n)]
+    graphs_ += [random_graph(n, m, seed) for seed in range(3) for n in (6, 7, 8)
+                for m in range(0, n * (n - 1) // 2 + 1, 3)]
+    graphs_ += [random_tree(200, seed) for seed in range(5)] + [Graph(7, [(5, 6), (1, 5)])]
+    for g in graphs_:
+        ok, colors = is_bipartite(g)
+        want_ok, want_colors = _bipartite_by_bfs(g)
+        assert ok == want_ok, g.edges
+        if ok:
+            assert colors.dtype == np.int8 and colors.tolist() == want_colors, g.edges
+        else:
+            assert colors is None
 
 
 def test_rooted_tree_child_partition():
