@@ -15,7 +15,11 @@ __all__ = ["check_k", "step", "simulate", "is_predecessor"]
 
 
 def check_k(k: int) -> int:
-    if int(k) != k or k < 1:
+    try:
+        ok = int(k) == k and k >= 1
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     return int(k)
 

@@ -4,8 +4,13 @@ Per vertex v and parent state c, a pair holds the number of predecessors of
 the target restricted to v's subtree with v at +1 and at -1.  Whether a
 candidate state for v is consistent depends only on how many children sit in
 v's target state, so the children combine through a small counting DP (ways
-to have exactly j children in the target state) instead of enumerating child
-subsets.  Counts are exact Python integers; they grow exponentially in n.
+to have exactly j children off or on target) instead of enumerating child
+subsets.  The thresholds only ask for fewer than k children off target (v in
+its target state) or for at least k-1 (or k) on target (v opposite), which is
+the total minus fewer than k.  So each vertex keeps two rows truncated to k
+cells and one running total: a vertex with c children costs O(c·min(k, c))
+multiply-adds, and the tree O(n·min(k, Δ)), against O(n²) for full rows.
+Counts are exact Python integers; they grow exponentially in n.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ __all__ = [
     "count_predecessors_tree",
     "count_predecessors_tree_by_subsets",
 ]
-
-_LEAF_ROW = (1,)
 
 
 def children_threshold(degree: int, target: int, current: int, parent_state: int | None, k: int) -> int:
@@ -43,61 +46,49 @@ def count_predecessors_tree(tree: RootedTree, k: int, y) -> int:
     k = check_k(k)
     n = tree.graph.n
     ys = config_list(y, n)
-    deg = tree.graph.degree_list()
     cptr, cidx = tree.child_slices()
     root = tree.root
     # pair (count at +1, count at -1) per vertex, one table per parent context
     ctx_minus: list = [None] * n
     ctx_plus: list = [None] * n
     for v in reversed(tree.bfs_order):
-        a, b = cptr[v], cptr[v + 1]
         tgt = ys[v]
-        if a == b:
-            row_t = row_o = _LEAF_ROW
-        else:
-            # row_t: v in its target state; row_o: v in the opposite state;
-            # cell j = ways for exactly j children to sit in the target state
-            row_t = [1]
-            row_o = [1]
-            for fi in range(a, b):
-                pair_t = (ctx_plus if tgt > 0 else ctx_minus)[cidx[fi]]
-                pair_o = (ctx_minus if tgt > 0 else ctx_plus)[cidx[fi]]
-                if tgt > 0:
-                    wt_t, wo_t = pair_t
-                    wt_o, wo_o = pair_o
-                else:
-                    wo_t, wt_t = pair_t
-                    wo_o, wt_o = pair_o
-                width = len(row_t)
-                new_t = [0] * (width + 1)
-                new_o = [0] * (width + 1)
-                carry_t = carry_o = 0
-                for j in range(width):
-                    wt = row_t[j]
-                    wo = row_o[j]
-                    new_t[j] = wt * wo_t + carry_t
-                    new_o[j] = wo * wo_o + carry_o
-                    carry_t = wt * wt_t
-                    carry_o = wo * wt_o
-                new_t[width] = carry_t
-                new_o[width] = carry_o
-                row_t = new_t
-                row_o = new_o
-        # thresholds per parent context (same branch table as children_threshold)
-        d = deg[v]
-        l_agree = d - k
-        l_help = k - 1
+        # off[j]: v in its target state, exactly j children off target;
+        # on[j]: v in the opposite state, exactly j children on target;
+        # both cut at j < k, the only cells the thresholds read.  tot is the
+        # opposite state's total over all child states.
+        off = [1]
+        on = [1]
+        tot = 1
+        for fi in range(cptr[v], cptr[v + 1]):
+            pair_t = (ctx_plus if tgt > 0 else ctx_minus)[cidx[fi]]
+            pair_o = (ctx_minus if tgt > 0 else ctx_plus)[cidx[fi]]
+            if tgt > 0:
+                wt_t, wo_t = pair_t
+                wt_o, wo_o = pair_o
+            else:
+                wo_t, wt_t = pair_t
+                wo_o, wt_o = pair_o
+            tot *= wt_o + wo_o
+            top = len(off)
+            if top < k:
+                off.append(off[-1] * wo_t)
+                on.append(on[-1] * wt_o)
+            for j in range(top - 1, 0, -1):
+                off[j] = off[j] * wt_t + off[j - 1] * wo_t
+                on[j] = on[j] * wo_o + on[j - 1] * wt_o
+            off[0] *= wt_t
+            on[0] *= wo_o
+        # thresholds per parent context (same branch table as children_threshold,
+        # with deg = children + 1 below the root and deg = children at it):
+        # at least deg-k (deg-k+1) children on target is at most k-1 (k-2) off,
+        # and at least k-1 (k) on is tot minus the first k-1 (k) cells of on
         if v == root:
-            lt = l_agree + 1
-            total = sum(row_t[lt if lt > 0 else 0:])
-            if k <= b - a:
-                total += sum(row_o[k:])
-            return total
-        e_t_same = sum(row_t[l_agree if l_agree > 0 else 0:])
-        la = l_agree + 1
-        e_t_diff = sum(row_t[la if la > 0 else 0:])
-        e_o_same = sum(row_o[l_help if l_help > 0 else 0:]) if l_help <= b - a else 0
-        e_o_diff = sum(row_o[k:]) if k <= b - a else 0
+            return sum(off) + tot - sum(on)
+        e_t_same = sum(off)
+        e_t_diff = sum(off[:k - 1])
+        e_o_same = tot - sum(on[:k - 1])
+        e_o_diff = tot - sum(on)
         # pair order: (count with v at +1, count with v at -1);
         # same/diff mean the parent context agreeing with the target or not
         if tgt > 0:

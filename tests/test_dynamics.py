@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kreversible as kr
 from kreversible import Graph, is_predecessor, max_degree, simulate, step
+from kreversible.dynamics import check_k
 from kreversible.generators import (
     hub_spokes_tree,
     random_bounded_degree_graph,
@@ -33,6 +35,17 @@ def test_step_rejects_bad_input():
         step(g, 1, [1, 0, 1])
     with pytest.raises(ValueError, match="k must be"):
         step(g, 0, [1, 1, 1])
+
+
+def test_non_integer_k_is_a_value_error():
+    g = path_graph(3)
+    for k in (float("inf"), float("nan"), None, "2", 0, 1.5):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            check_k(k)
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            kr.count_predecessors(g, k, [1, 1, 1])
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            kr.find_predecessor(g, k, [1, 1, 1])
 
 
 def test_simulate_identity_and_fixed_point():

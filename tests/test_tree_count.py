@@ -1,9 +1,12 @@
 """Tree predecessor counting: thresholds, exact counts, closed-form family."""
 
+import time
+
 import numpy as np
 import pytest
 
 from kreversible import (
+    Graph,
     children_threshold,
     count_predecessors_bruteforce,
     count_predecessors_tree,
@@ -13,7 +16,7 @@ from kreversible import (
     successor_indices,
 )
 from kreversible.generators import hub_spokes_tree, random_config, random_tree
-from helpers import all_configs, all_labeled_trees, path_graph
+from helpers import all_configs, all_labeled_trees, path_graph, star_graph
 
 
 def test_children_threshold_branches():
@@ -34,8 +37,6 @@ def test_count_frozen_examples():
     p3 = root_tree(path_graph(3), 0)
     assert count_predecessors_tree(p3, 2, [1, 1, 1]) == 2
     assert count_predecessors_tree(p3, 2, [1, -1, 1]) == 0
-    from kreversible import Graph
-
     single = root_tree(Graph(1, []), 0)
     assert count_predecessors_tree(single, 3, [-1]) == 1
 
@@ -44,7 +45,7 @@ def test_count_hub_spokes_p3():
     g = hub_spokes_tree(3)
     t = root_tree(g, 0)
     assert count_predecessors_tree(t, 2, [1] * 10) == 8
-    assert 8 >= 2**3 - 3 - 1
+    assert count_predecessors_bruteforce(g, 2, [1] * 10) == 8
 
 
 def test_oracle_equivalence_exhaustive_small_trees():
@@ -56,6 +57,41 @@ def test_oracle_equivalence_exhaustive_small_trees():
                 counts = np.bincount(successor_indices(g, k), minlength=1 << n)
                 for idx, y in enumerate(configs):
                     assert count_predecessors_tree(t, k, y) == int(counts[idx])
+
+
+def test_oracle_equivalence_every_root_and_k_above_child_counts():
+    for n in range(1, 6):
+        configs = all_configs(n)
+        for g in all_labeled_trees(n):
+            for k in range(1, 6):
+                counts = np.bincount(successor_indices(g, k), minlength=1 << n)
+                for root in range(n):
+                    t = root_tree(g, root)
+                    for idx, y in enumerate(configs):
+                        assert count_predecessors_tree(t, k, y) == int(counts[idx])
+
+
+def test_subset_route_matches_dp_route_on_wide_vertices():
+    # stars, a hub and a caterpillar whose vertices have 8 to 14 children;
+    # k runs past the child count, so rows are cut below, at and above it
+    legs = [(s, 3 + 9 * s + i) for s in range(3) for i in range(9)]
+    caterpillar = Graph(30, [(0, 1), (1, 2)] + legs)
+    cases = [
+        (star_graph(14), 0),
+        (star_graph(12), 5),
+        (hub_spokes_tree(9), 0),
+        (hub_spokes_tree(10), 4),
+        (caterpillar, 1),
+    ]
+    for j, (g, root) in enumerate(cases):
+        t = root_tree(g, root)
+        widest = max(t.n_children(v) for v in range(g.n))
+        assert 8 <= widest <= 14
+        for k in range(1, widest + 3):
+            y = random_config(g.n, seed=9100 + 50 * j + k)
+            assert count_predecessors_tree(t, k, y) == count_predecessors_tree_by_subsets(
+                t, k, y, max_children=14
+            )
 
 
 def test_subset_route_matches_dp_route():
@@ -113,6 +149,15 @@ def test_hub_spokes_family_closed_form():
         c = count_predecessors_tree(t, 2, [1] * (3 * p + 1))
         assert c == 2**p
         assert c >= 2**p - p - 1
+
+
+def test_hub_spokes_6000_counts_fast():
+    # a hub with 6000 children: the work must not grow with the square of
+    # a vertex's child count
+    t = root_tree(hub_spokes_tree(6000), 0)
+    start = time.perf_counter()
+    assert count_predecessors_tree(t, 2, [1] * 18001) == 2**6000
+    assert time.perf_counter() - start < 3.0
 
 
 def test_count_rejects_bad_k():
