@@ -27,17 +27,20 @@ __all__ = [
 
 _STATE_TOKENS = {"+1": 1, "-1": -1, "+": 1, "-": -1}
 _INT64_MAX = 2**63 - 1
+# Largest n whose edge codes u*n+v (at most n*n - 1) fit in int64.
+_MAX_CODED_N = 3_037_000_499  # math.isqrt(_INT64_MAX)
 
 
 class Graph:
     """Simple undirected graph: no loops, no parallel edges.
 
-    Edges are stored canonically (u < v, sorted) alongside a CSR adjacency
-    structure with ascending neighbor lists, so iteration order is
-    deterministic everywhere.
+    One sort of the 2m arc codes ``u*n+v`` and ``v*n+u`` builds everything:
+    the sorted arcs are the CSR adjacency, with ascending neighbor lists,
+    and their forward arcs (u < v) are the canonical edges in sorted order.
+    So iteration order is deterministic everywhere.
     """
 
-    __slots__ = ("n", "m", "_eu", "_ev", "_indptr", "_indices", "_adj", "_degs", "_deg_list")
+    __slots__ = ("n", "m", "_eu", "_ev", "_indptr", "_indices", "_adj", "_degs")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -52,34 +55,31 @@ class Graph:
             e = e.reshape(0, 2)
         if e.ndim != 2 or e.shape[1] != 2:
             raise ValueError("edges must be pairs of vertex ids")
+        if e.size and n > _MAX_CODED_N:
+            raise ValueError(f"vertex count must be at most {_MAX_CODED_N} in a graph with edges")
         if e.size and (e.min() < 0 or e.max() >= n):
             raise ValueError("edge endpoint out of range")
-        lo = np.minimum(e[:, 0], e[:, 1])
-        hi = np.maximum(e[:, 0], e[:, 1])
-        if np.any(lo == hi):
-            v = int(lo[np.argmax(lo == hi)])
-            raise ValueError(f"loop at vertex {v}")
-        codes = lo * n + hi
-        order = np.argsort(codes, kind="stable")
-        codes = codes[order]
-        if codes.size > 1 and np.any(codes[1:] == codes[:-1]):
-            i = int(np.argmax(codes[1:] == codes[:-1]))
-            u, v = divmod(int(codes[i]), n)
+        u, v = e[:, 0], e[:, 1]
+        loops = u == v
+        if loops.any():
+            raise ValueError(f"loop at vertex {int(u[np.argmax(loops)])}")
+        arcs = np.sort(np.concatenate([u * n + v, v * n + u]))
+        repeats = arcs[1:] == arcs[:-1]
+        if repeats.any():
+            # The first repeated arc is the smallest duplicated pair, u < v.
+            u, v = divmod(int(arcs[np.argmax(repeats)]), n)
             raise ValueError(f"duplicate edge {u} {v}")
+        src, self._indices = np.divmod(arcs, n)
+        fwd = src < self._indices
         self.n = int(n)
         self.m = int(e.shape[0])
-        self._eu = lo[order]
-        self._ev = hi[order]
-        src = np.concatenate([self._eu, self._ev])
-        dst = np.concatenate([self._ev, self._eu])
-        arc_order = np.argsort(src * n + dst, kind="stable")
-        self._indices = dst[arc_order]
+        self._eu = src[fwd]
+        self._ev = self._indices[fwd]
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         self._indptr = indptr
         self._adj = None
         self._degs = None
-        self._deg_list = None
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -108,11 +108,6 @@ class Graph:
         if self._degs is None:
             self._degs = np.diff(self._indptr)
         return self._degs
-
-    def degree_list(self) -> list[int]:
-        if self._deg_list is None:
-            self._deg_list = self.degrees().tolist()
-        return self._deg_list
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -257,9 +252,8 @@ def parse_graph(text) -> Graph:
 
 
 def write_graph(g: Graph) -> str:
-    out = [f"{g.n} {g.m}"]
-    out.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(out) + "\n"
+    ends = np.stack(g.edge_arrays(), axis=1).ravel().tolist()
+    return f"{g.n} {g.m}\n" + ("%d %d\n" * g.m) % tuple(ends)
 
 
 def _parse_config_canonical(text, n: int) -> np.ndarray | None:
@@ -330,10 +324,11 @@ def config_list(y, n: int) -> list[int]:
 
 
 # Vertex count above which _bfs_from hands the search to scipy's compiled
-# BFS.  At or below it a list loop is faster and keeps scipy unimported,
-# which tiny-instance callers would otherwise pay for in start-up time and
-# memory.  On a 2-core x86 VM root_tree took 21 us against 131 us at n=7;
-# the two paths cross between 256 (is_tree) and 1024 (root_tree) vertices.
+# BFS, and k1 its partition to numpy.  At or below it a list loop is faster
+# and keeps scipy unimported, which tiny-instance callers would otherwise
+# pay for in start-up time and memory.  On a 2-core x86 VM root_tree took
+# 21 us against 131 us at n=7; the two paths cross between 256 (is_tree)
+# and 1024 (root_tree) vertices.
 _SMALL_N = 512
 
 

@@ -8,8 +8,10 @@ one.  A predecessor exists iff no two locked regions touch and every vertex
 of an unlocked region has a neighbor in another unlocked region; flipping
 all unlocked regions then yields a witness.
 
-Small graphs run through plain Python traversal; large ones through
-vectorized labeling.  Both paths produce identical partitions.
+Graphs of at most ``graphs._SMALL_N`` vertices run through plain Python
+traversal; larger ones through vectorized labeling.  Both paths produce
+identical partitions and witnesses;
+``tests/test_k1.py::test_small_and_large_paths_agree`` runs both.
 """
 
 from __future__ import annotations
@@ -18,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graphs
 from .graphs import Graph, as_config, component_labels
 
 __all__ = ["SameStatePartition", "same_state_partition", "find_predecessor_k1"]
-
-_SMALL_N = 512
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ def _partition_large(g: Graph, y: np.ndarray):
 
 def same_state_partition(g: Graph, y) -> SameStatePartition:
     y = as_config(y, g.n)
-    if g.n < _SMALL_N:
+    if g.n <= graphs._SMALL_N:
         comp, comp_state, comp_locked, vertex_locked = _partition_small(g, y.tolist())
         return SameStatePartition(
             np.array(comp, dtype=np.int64),
@@ -136,6 +137,6 @@ def _find_large(g: Graph, y: np.ndarray) -> np.ndarray | None:
 def find_predecessor_k1(g: Graph, y) -> np.ndarray | None:
     """Witness predecessor for k = 1, or None if the target has none."""
     y = as_config(y, g.n)
-    if g.n < _SMALL_N:
+    if g.n <= graphs._SMALL_N:
         return _find_small(g, y)
     return _find_large(g, y)

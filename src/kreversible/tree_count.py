@@ -109,7 +109,7 @@ def count_predecessors_tree_by_subsets(tree: RootedTree, k: int, y, max_children
     k = check_k(k)
     n = tree.graph.n
     ys = config_list(y, n)
-    deg = tree.graph.degree_list()
+    deg = tree.graph.degrees().tolist()
     cptr, cidx = tree.child_slices()
     root = tree.root
     ctx_minus: list = [None] * n

@@ -237,6 +237,15 @@ def test_oversized_inputs_are_exit_2(tmp_path, capsys, monkeypatch):
     assert "out of memory" in capsys.readouterr().err
 
 
+def test_vertex_count_past_edge_code_range_is_exit_2(tmp_path, capsys):
+    # 2**33 vertices with an edge: u*n+v could wrap in int64, so the graph
+    # is refused before its 2**33-entry CSR row pointer is allocated.
+    rc = main(["pre", "--graph", write(tmp_path, "g", f"{2**33} 1\n0 1\n"),
+               "--config", write(tmp_path, "y", "+1 +1\n"), "--k", "1"])
+    assert rc == 2
+    assert "vertex count must be at most 3037000499" in capsys.readouterr().err
+
+
 def test_reduce_witness_verify_pipeline(tmp_path, capsys):
     cnf = write(tmp_path, "f.cnf", "p cnf 3 1\n1 -2 -3 0\n")
     prefix = str(tmp_path / "fig1")

@@ -281,6 +281,97 @@ def test_header_counts_must_fit_in_int64():
         Graph(2**63, [])
 
 
+def test_edge_codes_must_fit_in_int64():
+    # Above isqrt(2**63 - 1) vertices an edge code u*n+v can wrap around:
+    # the edge (2**33 - 2, 2**33 - 1) at n = 2**33 would code to -8589934593.
+    # The graph is refused before any array of n entries is allocated.
+    limit = graphs._MAX_CODED_N
+    assert limit**2 <= 2**63 - 1 < (limit + 1) ** 2
+    for n, edge in [(2**33, (0, 1)), (2**33, (2**33 - 2, 2**33 - 1)), (limit + 1, (0, 1))]:
+        with pytest.raises(ValueError, match=f"at most {limit}"):
+            Graph(n, [edge])
+        text = f"{n} 1\n{edge[0]} {edge[1]}\n"
+        for parse in (parse_graph, _parse_graph_lines):
+            with pytest.raises(ValueError, match=f"at most {limit}"):
+                parse(text)
+
+
+def _reference_graph(n, edges):
+    """(sorted canonical edges, ascending neighbor lists) by plain Python,
+    or the text of the ValueError Graph raises on the same edge list."""
+    pairs = [(int(u), int(v)) for u, v in edges]
+    if any(not 0 <= w < n for pair in pairs for w in pair):
+        return "edge endpoint out of range"
+    for u, v in pairs:  # the first loop in input order
+        if u == v:
+            return f"loop at vertex {u}"
+    canon = sorted((min(p), max(p)) for p in pairs)
+    for a, b in zip(canon, canon[1:]):  # the smallest duplicated pair
+        if a == b:
+            return f"duplicate edge {a[0]} {a[1]}"
+    adj = [[] for _ in range(n)]
+    for u, v in canon:
+        adj[u].append(v)
+        adj[v].append(u)
+    return canon, [sorted(nbrs) for nbrs in adj]
+
+
+def _write_graph_lines(g):
+    """write_graph's format, one f-string per edge."""
+    out = [f"{g.n} {g.m}"]
+    out.extend(f"{u} {v}" for u, v in g.edges)
+    return "\n".join(out) + "\n"
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges): a simple graph's edges in any order, either endpoint first,
+    sometimes with up to two loops, repeated edges or endpoints >= n inserted."""
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    faults = draw(st.lists(st.sampled_from(["loop", "repeat", "reversed", "range"]), max_size=2))
+    if draw(st.booleans()):
+        faults = []
+    for fault in faults:
+        at = draw(st.integers(0, len(edges)))
+        if fault == "loop" and n:
+            w = draw(st.integers(0, n - 1))
+            edges.insert(at, (w, w))
+        elif fault in ("repeat", "reversed") and edges:
+            u, v = edges[draw(st.integers(0, len(edges) - 1))]
+            edges.insert(at, (u, v) if fault == "repeat" else (v, u))
+        elif fault == "range":
+            w = (draw(st.integers(0, n + 2)), draw(st.integers(n, n + 2)))
+            edges.insert(at, w if draw(st.booleans()) else w[::-1])
+    if draw(st.booleans()):
+        return n, np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return n, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+@example(case=(0, []))
+@example(case=(3, []))
+@example(case=(0, np.zeros((0, 2), dtype=np.int64)))
+def test_graph_matches_python_reference(case):
+    n, edges = case
+    expected = _reference_graph(n, edges)
+    try:
+        g = Graph(n, edges)
+    except ValueError as exc:
+        assert str(exc) == expected
+        return
+    canon, adj = expected
+    assert (g.n, g.m) == (n, len(canon))
+    assert g.edges == canon
+    assert [g.neighbors(v) for v in range(n)] == adj
+    assert g.adjacency() == adj
+    assert g.degrees().tolist() == [len(nbrs) for nbrs in adj]
+    assert write_graph(g) == _write_graph_lines(g)
+
+
 def _outcome(parse, *args):
     """A parser's result, or the message of the ValueError it raised."""
     try:

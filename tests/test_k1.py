@@ -1,8 +1,11 @@
 """k = 1 solver: partition structure, frozen answers, oracle equivalence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from kreversible import graphs
 from kreversible import (
     Graph,
     find_predecessor_k1,
@@ -102,3 +105,42 @@ def test_disconnected_components_decided_independently():
     iso = Graph(3, [(0, 1)])
     w = find_predecessor_k1(iso, [1, 1, -1])
     assert w is not None and w.tolist() == [1, 1, -1]
+
+
+# k1 takes its list path at or below graphs._SMALL_N vertices and its numpy
+# path above it; each cutoff forces one path on any graph.
+_K1_PATHS = {"list": 10**9, "numpy": 0}
+
+
+def _k1_instances():
+    """(graph, targets): every graph up to 4 vertices with every target, and
+    the graphs and targets of test_oracle_equivalence_random_medium."""
+    for n in range(1, 5):
+        for g in all_graphs(n):
+            yield g, all_configs(n)
+    for s in range(60):
+        n = 5 + (s % 6)
+        g = random_graph(n, min(2 * n, n * (n - 1) // 2), seed=500 + s)
+        yield g, [random_config(n, seed=1000 * s + t) for t in range(16)]
+
+
+def _same_array(a, b) -> bool:
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_small_and_large_paths_agree(monkeypatch):
+    for g, targets in _k1_instances():
+        counts = np.bincount(successor_indices(g, 1), minlength=1 << g.n)
+        for y in targets:
+            runs = []
+            for cutoff in _K1_PATHS.values():
+                monkeypatch.setattr(graphs, "_SMALL_N", cutoff)
+                runs.append((same_state_partition(g, y), find_predecessor_k1(g, y)))
+            (part, w), (part_np, w_np) = runs
+            for field in dataclasses.fields(part):
+                assert _same_array(getattr(part, field.name), getattr(part_np, field.name))
+            assert (w is None) == (w_np is None)
+            assert (w is not None) == (counts[config_index(y)] > 0)
+            if w is not None:
+                assert _same_array(w, w_np)
+                assert is_predecessor(g, 1, w, y)
