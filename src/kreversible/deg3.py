@@ -6,8 +6,14 @@ vertex.  For a vertex targeting +1: degree 1 pins the vertex to +1; degree 2
 demands each neighbor or the vertex itself be +1 and at least one neighbor
 +1; degree 3 demands at least two of the three neighbors be +1 regardless of
 the vertex's own state.  Targets of -1 use the same clauses with every
-literal negated.  The instance is solved by the strongly-connected-component
-method on the implication graph.
+literal negated.  One table, ``_CLAUSES_BY_DEGREE``, holds these rules for
+every builder.
+
+The instance is solved by the strongly-connected-component method on the
+implication graph.  Graphs of at most ``graphs._SMALL_N`` vertices build the
+implication arcs as lists and run an iterative Tarjan; larger ones build
+them as numpy arrays straight from the CSR and run scipy's compiled SCC,
+whose labels are checked on every call to be in reverse topological order.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graphs
 from .graphs import Graph, as_config, max_degree
 
 __all__ = [
@@ -28,6 +35,17 @@ __all__ = [
 
 Literal = tuple[int, bool]  # (variable id, positive?)
 
+# The clauses of a vertex by its degree, over its slots: slot 0 is the vertex
+# itself, slots 1..d its neighbors in ascending order.  Each clause asks at
+# least one of its slots to take the vertex's target state.  An isolated or
+# degree-1 vertex can never flip under k = 2, so it keeps its target state.
+_CLAUSES_BY_DEGREE = (
+    ((0,),),
+    ((0,),),
+    ((0, 1), (0, 2), (1, 2)),
+    ((1, 2), (1, 3), (2, 3)),
+)
+
 
 @dataclass
 class TwoSatInstance:
@@ -35,62 +53,76 @@ class TwoSatInstance:
     clauses: list[tuple[Literal, ...]]  # 1 or 2 literals each
 
 
-def predecessor_clauses(g: Graph, y) -> TwoSatInstance:
-    """2SAT instance whose satisfying assignments are the predecessors of y."""
+def _checked_target(g: Graph, y) -> np.ndarray:
     if max_degree(g) > 3:
         raise ValueError(f"max degree {max_degree(g)} exceeds 3")
-    y = as_config(y, g.n)
+    return as_config(y, g.n)
+
+
+def predecessor_clauses(g: Graph, y) -> TwoSatInstance:
+    """2SAT instance whose satisfying assignments are the predecessors of y."""
+    y = _checked_target(g, y)
     adj = g.adjacency()
     clauses: list[tuple[Literal, ...]] = []
-    for v in range(g.n):
-        pos = bool(y[v] > 0)
-        nbs = adj[v]
-        d = len(nbs)
-        if d <= 1:
-            # an isolated or degree-1 vertex can never flip under k = 2
-            clauses.append(((v, pos),))
-        elif d == 2:
-            u, w = nbs
-            clauses.append(((v, pos), (u, pos)))
-            clauses.append(((v, pos), (w, pos)))
-            clauses.append(((u, pos), (w, pos)))
-        else:
-            u, w, z = nbs
-            clauses.append(((u, pos), (w, pos)))
-            clauses.append(((u, pos), (z, pos)))
-            clauses.append(((w, pos), (z, pos)))
+    for v, pos in enumerate((y > 0).tolist()):
+        slots = (v, *adj[v])
+        for cl in _CLAUSES_BY_DEGREE[len(slots) - 1]:
+            if len(cl) == 1:
+                clauses.append(((slots[cl[0]], pos),))
+            else:
+                i, j = cl
+                clauses.append(((slots[i], pos), (slots[j], pos)))
     return TwoSatInstance(g.n, clauses)
 
 
-def _node(lit: Literal) -> int:
-    v, positive = lit
-    return 2 * v if positive else 2 * v + 1
+# Implication nodes: literal "x is +1" is node 2x and "x is -1" node 2x + 1,
+# so node ^ 1 is the negation.  An arc (i, j) of a clause runs from the
+# negation of its literal i to its literal j: clause (a, b) gives -a -> b and
+# -b -> a, unit clause (a) gives -a -> a.
+_CLAUSE_ARCS = {1: ((0, 0),), 2: ((0, 1), (1, 0))}
+
+# The arcs of a vertex's clauses over its slots, per degree, in clause order.
+_ARCS_BY_DEGREE = tuple(
+    tuple((cl[i], cl[j]) for cl in clauses for i, j in _CLAUSE_ARCS[len(cl)])
+    for clauses in _CLAUSES_BY_DEGREE
+)
 
 
-def solve_2sat(inst: TwoSatInstance) -> list[bool] | None:
-    """Satisfying assignment, or None.
-
-    Tarjan's algorithm numbers strongly connected components of the
-    implication graph in reverse topological order; a variable is set true
-    iff its positive literal's component finishes before its negation's.
-    Deterministic for a fixed clause order.
-    """
-    nn = 2 * inst.num_vars
+def _implication_lists(g: Graph, y: np.ndarray) -> tuple[list[int], list[int]]:
+    """Implication arcs as lists, in the clause order of predecessor_clauses."""
+    adj = g.adjacency()
     src: list[int] = []
     dst: list[int] = []
-    for cl in inst.clauses:
-        if len(cl) == 1:
-            a = _node(cl[0])
-            src.append(a ^ 1)
-            dst.append(a)
-        elif len(cl) == 2:
-            a, b = _node(cl[0]), _node(cl[1])
-            src.append(a ^ 1)
-            dst.append(b)
-            src.append(b ^ 1)
-            dst.append(a)
-        else:
-            raise ValueError("clauses must have 1 or 2 literals")
+    for v, neg in enumerate((y < 0).tolist()):
+        slots = (v, *adj[v])
+        for i, j in _ARCS_BY_DEGREE[len(slots) - 1]:
+            src.append(2 * slots[i] + 1 - neg)
+            dst.append(2 * slots[j] + neg)
+    return src, dst
+
+
+def _implication_arrays(g: Graph, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Implication arcs as int64 arrays: one gather per degree class."""
+    deg = g.degrees()
+    neg = (y < 0).astype(np.int64)
+    src: list[np.ndarray] = []
+    dst: list[np.ndarray] = []
+    for d, arcs in enumerate(_ARCS_BY_DEGREE):
+        verts = np.flatnonzero(deg == d)
+        off = neg[verts]
+        first = g._indptr[verts]
+        nodes = [2 * verts + off] + [2 * g._indices[first + j] + off for j in range(d)]
+        for i, j in arcs:
+            src.append(nodes[i] ^ 1)
+            dst.append(nodes[j])
+    return np.concatenate(src), np.concatenate(dst)
+
+
+def _tarjan_components(nn: int, src: list[int], dst: list[int]) -> list[int]:
+    """SCC number per node, numbered in reverse topological order.
+
+    Iterative Tarjan; deterministic for a fixed arc order.
+    """
     order = sorted(range(len(src)), key=src.__getitem__)
     indices = [dst[i] for i in order]
     indptr = [0] * (nn + 1)
@@ -142,22 +174,78 @@ def solve_2sat(inst: TwoSatInstance) -> list[bool] | None:
                         if w == v:
                             break
                     ncomp += 1
+    return comp
 
-    assignment = [False] * inst.num_vars
-    for v in range(inst.num_vars):
-        cp, cn = comp[2 * v], comp[2 * v + 1]
-        if cp == cn:
+
+def _scc_labels(nn: int, src, dst) -> np.ndarray:
+    """scipy's SCC label per node, checked to be in reverse topological order."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    # float64 weights, the dtype csgraph works in: repeated arcs sum, never wrap to 0.
+    adj = csr_matrix((np.ones(src.size), (src, dst)), shape=(nn, nn))
+    _, lab = connected_components(adj, directed=True, connection="strong")
+    # scipy does not document its label order, and the assignment rule below
+    # is only sound if no arc leads to a higher label.
+    if (lab[src] < lab[dst]).any():
+        raise RuntimeError("SCC labels are not in reverse topological order")
+    return lab
+
+
+def _solve(num_vars: int, src, dst) -> np.ndarray | None:
+    """Witness (+1 for a true variable) of the implication graph, or None.
+
+    A variable is true iff its positive literal's component comes before its
+    negation's in reverse topological order.
+    """
+    if num_vars <= graphs._SMALL_N:
+        comp = _tarjan_components(2 * num_vars, src, dst)
+        pos, neg = comp[0::2], comp[1::2]
+        if any(map(int.__eq__, pos, neg)):
             return None
-        assignment[v] = cp < cn
-    return assignment
+        return np.array([1 if p < q else -1 for p, q in zip(pos, neg)], dtype=np.int8)
+    lab = _scc_labels(2 * num_vars, src, dst)
+    pos, neg = lab[0::2], lab[1::2]
+    if (pos == neg).any():
+        return None
+    return np.where(pos < neg, 1, -1).astype(np.int8)
+
+
+def solve_2sat(inst: TwoSatInstance) -> list[bool] | None:
+    """Satisfying assignment, or None.
+
+    Deterministic for a fixed clause order.  Raises ValueError for a clause
+    that does not have 1 or 2 literals, or a literal whose variable id is
+    outside 0..num_vars-1.
+    """
+    nv = inst.num_vars
+    src: list[int] = []
+    dst: list[int] = []
+    for cl in inst.clauses:
+        arcs = _CLAUSE_ARCS.get(len(cl))
+        if arcs is None:
+            raise ValueError("clauses must have 1 or 2 literals")
+        nodes = []
+        for lit in cl:
+            v, positive = lit
+            if not 0 <= v < nv:
+                raise ValueError(f"literal {lit!r} names a variable outside 0..{nv - 1}")
+            nodes.append(2 * v if positive else 2 * v + 1)
+        for i, j in arcs:
+            src.append(nodes[i] ^ 1)
+            dst.append(nodes[j])
+    w = _solve(nv, src, dst)
+    return None if w is None else (w > 0).tolist()
 
 
 def find_predecessor_deg3(g: Graph, y) -> np.ndarray | None:
     """Witness predecessor of y under k = 2 on a max-degree-3 graph."""
-    assignment = solve_2sat(predecessor_clauses(g, y))
-    if assignment is None:
-        return None
-    return np.array([1 if b else -1 for b in assignment], dtype=np.int8)
+    y = _checked_target(g, y)
+    if g.n <= graphs._SMALL_N:
+        return _solve(g.n, *_implication_lists(g, y))
+    return _solve(g.n, *_implication_arrays(g, y))
 
 
 def to_dimacs(inst: TwoSatInstance) -> str:

@@ -1,8 +1,15 @@
 """Max-degree-3 / k=2 solver: clause tables, 2SAT, oracle equivalence."""
 
+import hashlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import kreversible
+from kreversible import graphs
 from kreversible import (
     Graph,
     TwoSatInstance,
@@ -103,14 +110,17 @@ def test_solve_2sat_against_truth_tables():
             assert all(any(got[v] == pos for v, pos in cl) for cl in clauses)
 
 
-def test_oracle_equivalence_structured_graphs():
-    graphs = [
+def _structured_graphs() -> list[Graph]:
+    return [
         path_graph(2), path_graph(4), path_graph(6),
         cycle_graph(3), cycle_graph(4), cycle_graph(5), cycle_graph(8),
         complete_graph(4), prism_graph(), petersen_graph(),
         star_graph(3), Graph(1, []), Graph(3, [(0, 1)]),
     ]
-    for g in graphs:
+
+
+def test_oracle_equivalence_structured_graphs():
+    for g in _structured_graphs():
         counts = np.bincount(successor_indices(g, 2), minlength=1 << g.n)
         stride = 1 if g.n <= 8 else 5
         for idx, y in enumerate(all_configs(g.n)[::stride]):
@@ -154,3 +164,102 @@ def test_dimacs_dump_format():
     assert lines[0] == "p cnf 2 2"
     assert lines[1] == "1 0"
     assert lines[2] == "-2 0"
+
+
+def test_dimacs_dump_pinned():
+    # SHA-256 recorded from the hand-unrolled clause builder, before the
+    # clause rules moved into one degree table; every degree 0..3 occurs.
+    g = random_bounded_degree_graph(200, 3, seed=9, m=240)
+    assert np.bincount(g.degrees()).tolist() == [8, 28, 40, 124]
+    text = to_dimacs(predecessor_clauses(g, random_config(200, seed=9)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d6166d01a0139a5607c9af713c026d0f8519ba038d76582bcc5a3e5dd472324b"
+    )
+
+
+def test_solve_2sat_rejects_out_of_range_variable_ids():
+    with pytest.raises(ValueError, match=r"\(-1, True\)"):
+        solve_2sat(TwoSatInstance(1, [((-1, True),)]))
+    with pytest.raises(ValueError, match=r"\(2, False\)"):
+        solve_2sat(TwoSatInstance(2, [((0, True), (2, False))]))
+
+
+# find_predecessor_deg3 and solve_2sat run Tarjan's list path at or below
+# graphs._SMALL_N variables and scipy's compiled SCC above it; each cutoff
+# forces one path on any instance.
+_SCC_PATHS = {"list": 10**9, "compiled": 0}
+
+
+def _deg3_instances():
+    """(graph, targets): the structured graphs with every target, and random
+    max-degree-3 graphs of up to 12 vertices, each degree class included."""
+    for g in _structured_graphs():
+        yield g, all_configs(g.n)
+    for s in range(40):
+        n = 3 + (s % 10)
+        g = random_bounded_degree_graph(n, 3, seed=7000 + s, m=None if s % 2 else n + s % 3)
+        yield g, [random_config(n, seed=9000 + 100 * s + j) for j in range(12)]
+
+
+def test_small_and_large_paths_agree(monkeypatch):
+    for cutoff in _SCC_PATHS.values():
+        monkeypatch.setattr(graphs, "_SMALL_N", cutoff)
+        assert find_predecessor_deg3(Graph(2, [(0, 1)]), [1, -1]).tolist() == [1, -1]
+    for g, targets in _deg3_instances():
+        counts = np.bincount(successor_indices(g, 2), minlength=1 << g.n)
+        for y in targets:
+            expected = counts[config_index(y)] > 0
+            for cutoff in _SCC_PATHS.values():
+                monkeypatch.setattr(graphs, "_SMALL_N", cutoff)
+                w = find_predecessor_deg3(g, y)
+                assert (w is not None) == expected
+                if w is not None:
+                    assert w.dtype == np.int8 and is_predecessor(g, 2, w, y)
+                a = solve_2sat(predecessor_clauses(g, y))
+                assert (a is not None) == expected
+                if a is not None:
+                    assert is_predecessor(g, 2, [1 if b else -1 for b in a], y)
+
+
+def test_scc_label_order_is_checked(monkeypatch):
+    # Reversing scipy's labels keeps the partition but puts it in
+    # topological order, which flips the forced witness [1, -1] of an edge.
+    import scipy.sparse.csgraph as csgraph
+
+    real = csgraph.connected_components
+    seen = []
+
+    def reversed_labels(*args, **kwargs):
+        ncomp, lab = real(*args, **kwargs)
+        seen.append(ncomp - 1 - lab)
+        return ncomp, seen[-1]
+
+    monkeypatch.setattr(csgraph, "connected_components", reversed_labels)
+    monkeypatch.setattr(graphs, "_SMALL_N", 0)
+    g, y = Graph(2, [(0, 1)]), [1, -1]
+    with pytest.raises(RuntimeError, match="topological"):
+        find_predecessor_deg3(g, y)
+    lab = seen[-1]
+    assert not is_predecessor(g, 2, np.where(lab[0::2] < lab[1::2], 1, -1), y)
+    with pytest.raises(RuntimeError, match="topological"):
+        solve_2sat(predecessor_clauses(g, y))
+
+
+def test_small_twosat_routes_never_import_scipy():
+    # The sweep-sized 2SAT instances stay on the list path, so they must not
+    # pay scipy's import time and memory.
+    code = (
+        "import sys\n"
+        "import kreversible as kr\n"
+        "from kreversible.route import choose_method\n"
+        "g = kr.Graph(10, [(i, (i + 1) % 10) for i in range(10)] + [(0, 5), (2, 7), (3, 8)])\n"
+        "assert choose_method(g, 2, 'auto') == 'twosat'\n"
+        "y = kr.step(g, 2, [1, -1, -1, 1, 1, -1, 1, -1, -1, 1])\n"
+        "assert kr.find_predecessor_deg3(g, y) is not None\n"
+        "assert kr.find_predecessor(g, 2, y) is not None\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kreversible.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
