@@ -64,6 +64,8 @@ def random_tree(n: int, seed: int) -> Graph:
 
 
 def random_config(n: int, seed: int) -> np.ndarray:
+    if n < 0:
+        raise ValueError(f"configuration size n must be nonnegative, got {n}")
     rng = random.Random(seed)
     return np.array([rng.choice((-1, 1)) for _ in range(n)], dtype=np.int8)
 
@@ -87,6 +89,10 @@ def _distinct_codes(rng, n: int, m: int) -> np.ndarray:
 
 def random_graph(n: int, m: int, seed: int) -> Graph:
     """Uniform random simple graph with exactly m edges."""
+    if n < 0:
+        raise ValueError(f"vertex count n must be nonnegative, got {n}")
+    if m < 0:
+        raise ValueError(f"edge count m must be nonnegative, got {m}")
     limit = n * (n - 1) // 2
     if m > limit:
         raise ValueError(f"m={m} exceeds the {limit} possible edges")
@@ -112,6 +118,10 @@ def random_graph(n: int, m: int, seed: int) -> Graph:
 
 def random_bounded_degree_graph(n: int, max_deg: int, seed: int, m: int | None = None) -> Graph:
     """Random simple graph greedily respecting a degree cap."""
+    if max_deg < 0:
+        raise ValueError(f"degree cap max_deg must be nonnegative, got {max_deg}")
+    if m is not None and m < 0:
+        raise ValueError(f"edge count m must be nonnegative, got {m}")
     rng = random.Random(seed)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
@@ -129,6 +139,8 @@ def random_bounded_degree_graph(n: int, max_deg: int, seed: int, m: int | None =
 
 def random_regular_graph(n: int, d: int, seed: int, max_tries: int = 500) -> Graph:
     """Random d-regular simple graph via stub pairing with retries."""
+    if d < 0:
+        raise ValueError(f"degree d must be nonnegative, got {d}")
     if n * d % 2:
         raise ValueError("n*d must be even")
     if d >= n:

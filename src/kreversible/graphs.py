@@ -126,17 +126,19 @@ class Graph:
 class RootedTree:
     """Breadth-first orientation of a tree.
 
-    ``parent[root]`` is None.  ``children(v)`` lists children in ascending
+    ``parent[root]`` is None; ``parent_array`` holds the same parents as
+    int64, with -1 at the root.  ``children(v)`` lists children in ascending
     vertex id, the fixed order every tree algorithm relies on.
     ``bfs_order`` visits parents before children.
     """
 
-    __slots__ = ("graph", "root", "parent", "bfs_order", "_cptr", "_cidx")
+    __slots__ = ("graph", "root", "parent", "parent_array", "bfs_order", "_cptr", "_cidx")
 
-    def __init__(self, graph: Graph, root: int, parent, bfs_order, cptr, cidx):
+    def __init__(self, graph: Graph, root: int, parent, parent_array, bfs_order, cptr, cidx):
         self.graph = graph
         self.root = root
         self.parent = parent
+        self.parent_array = parent_array
         self.bfs_order = bfs_order
         self._cptr = cptr
         self._cidx = cidx
@@ -207,6 +209,13 @@ def _parse_graph_canonical(text) -> Graph | None:
     return Graph(n, tok[2:].reshape(m, 2))
 
 
+def _ascii_int(token: str) -> int:
+    """int() of an ASCII token: int() alone also reads non-ASCII digits."""
+    if not token.isascii():
+        raise ValueError(f"non-ASCII token {token!r}")
+    return int(token)
+
+
 def _parse_graph_lines(text) -> Graph:
     """Line-by-line parser for the full grammar; the source of every error message."""
     lines = [
@@ -220,7 +229,7 @@ def _parse_graph_lines(text) -> Graph:
     if len(header) != 2:
         raise ValueError("header must be 'n m'")
     try:
-        n, m = int(header[0]), int(header[1])
+        n, m = _ascii_int(header[0]), _ascii_int(header[1])
     except ValueError:
         raise ValueError("header must contain two integers") from None
     if n < 0 or m < 0:
@@ -235,7 +244,7 @@ def _parse_graph_lines(text) -> Graph:
         if len(ln) != 2:
             raise ValueError(f"edge line must be 'u v', got {' '.join(ln)!r}")
         try:
-            edges.append((int(ln[0]), int(ln[1])))
+            edges.append((_ascii_int(ln[0]), _ascii_int(ln[1])))
         except ValueError:
             raise ValueError(f"non-integer edge line {' '.join(ln)!r}") from None
     return Graph(n, edges)
@@ -380,7 +389,7 @@ def root_tree(g: Graph, root: int) -> RootedTree:
     np.cumsum(counts, out=cptr[1:])
     parent = parent_arr.tolist()
     parent[root] = None
-    return RootedTree(g, root, parent, order.tolist(), cptr.tolist(), by_parent.tolist())
+    return RootedTree(g, root, parent, parent_arr, order.tolist(), cptr.tolist(), by_parent.tolist())
 
 
 def is_tree(g: Graph) -> bool:

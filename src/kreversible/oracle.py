@@ -68,8 +68,10 @@ def _scan(g: Graph, k: int):
     eu, ev = g.edge_arrays()
     adj[eu, ev] = 1.0
     adj[ev, eu] = 1.0
-    # flip rule: #differing = (deg - y*s)/2 >= k  <=>  y*s <= deg - 2k
-    thr = adj.sum(axis=1) - 2.0 * k
+    # flip rule: #differing = (deg - y*s)/2 >= k  <=>  y*s <= deg - 2k.
+    # No vertex has more than n - 1 neighbors, so any k above n flips
+    # nothing, as k = n + 1 does; the clamp keeps 2k a float.
+    thr = adj.sum(axis=1) - 2.0 * min(k, n + 1)
     pow2 = 2.0 ** np.arange(n - 1, -1, -1) if n else np.zeros(0)
     if n == 0:
         yield 0, np.zeros((1, 0), dtype=np.float32), np.zeros(1, dtype=np.int64)

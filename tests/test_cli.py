@@ -1,9 +1,14 @@
 """Command-line interface: routing, formats, exit codes, file round trips."""
 
+import contextlib
+import io
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kreversible import (
     Graph,
@@ -377,6 +382,29 @@ def test_gen_outputs_parse_and_validate(tmp_path, capsys):
     parse_config(capsys.readouterr().out, 6)
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["gen", "config", "--n", "-5", "--seed", "1"], "n"),
+    (["gen", "graph", "--n", "5", "--m", "-1", "--seed", "1"], "m"),
+    (["gen", "graph", "--n", "5", "--max-degree", "3", "--m", "-1", "--seed", "1"], "m"),
+    (["gen", "graph", "--n", "5", "--max-degree", "-1", "--seed", "1"], "max_deg"),
+    (["gen", "graph", "--n", "6", "--regular", "-2", "--seed", "1"], "d"),
+])
+def test_gen_rejects_negative_sizes(capsys, argv, name):
+    assert main(argv) == 2
+    assert f"{name} must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pre", "count"])
+def test_oracle_takes_any_k(tmp_path, capsys, command):
+    g, c = write(tmp_path, "p3.graph", P3), write(tmp_path, "goe.config", GOE)
+    outputs = []
+    for k in (4, 10**400):  # n + 1, and a k past float range
+        rc = main([command, "--graph", g, "--config", c, "--k", str(k), "--method", "oracle"])
+        assert rc in (0, 1)
+        outputs.append((rc, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+
+
 def test_gen_graph_requires_an_edge_budget(capsys):
     rc = main(["gen", "graph", "--n", "10", "--seed", "1"])
     assert rc == 2
@@ -388,3 +416,72 @@ def test_missing_file_is_exit_2(tmp_path, capsys):
                "--k", "1"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- fuzzing
+
+@st.composite
+def _graph_bytes(draw):
+    """A valid graph file on at most 30 vertices, one with a byte changed, or any bytes."""
+    kind = draw(st.sampled_from(["valid", "valid", "mutated", "raw"]))
+    if kind == "raw":
+        return draw(st.binary(max_size=40))
+    n = draw(st.integers(0, 30))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=40)) if pairs else []
+    text = f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    data = text.encode()
+    if kind == "mutated":
+        i = draw(st.integers(0, len(data) - 1))
+        data = data[:i] + draw(st.binary(min_size=0, max_size=2)) + data[i + 1:]
+    return data
+
+
+def _config_bytes(n):
+    states = st.lists(st.sampled_from(["+1", "-1", "+", "-"]), min_size=n, max_size=n)
+    return st.one_of(states.map(lambda ts: (" ".join(ts) + "\n").encode()), st.binary(max_size=40))
+
+
+def _ints():
+    return st.one_of(st.integers(-5, 10), st.sampled_from([2**63, 10**400]), st.integers(-5, 10**400))
+
+
+@st.composite
+def _requests(draw):
+    graph = draw(_graph_bytes())
+    head = graph.split(b"\n", 1)[0].split()
+    n = int(head[0]) if len(head) == 2 and head[0].isdigit() and len(head[0]) < 3 else 3
+    command = draw(st.sampled_from(["pre", "count", "step", "verify"]))
+    files = {"graph": graph, "config": draw(_config_bytes(n))}
+    flags = ["--k", str(draw(_ints()))]
+    if command == "step":
+        flags += ["--steps", str(draw(_ints()))]
+    elif command == "verify":
+        files["candidate"] = draw(_config_bytes(n))
+    else:
+        methods = ["auto", "tree", "fixed", "oracle"] + (["pre1", "twosat"] if command == "pre" else [])
+        flags += ["--method", draw(st.sampled_from(methods))]
+        # Limits of 13 to 26 (the default is 20) would let one call scan up to
+        # 2^26 candidates; a limit above 26 is refused before any scan.
+        flags += ["--oracle-limit", str(draw(st.one_of(st.integers(-5, 12), st.integers(27, 10**400))))]
+    return command, files, flags
+
+
+@settings(deadline=None, max_examples=300)
+@given(_requests())
+@example(("count", {"graph": P3.encode(), "config": GOE.encode()},
+          ["--k", str(10**400), "--method", "oracle", "--oracle-limit", "5"]))
+def test_cli_fuzz_exits_cleanly(request):
+    command, files, flags = request
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command]
+        for name, data in files.items():
+            path = Path(tmp) / name
+            path.write_bytes(data)
+            argv += [f"--{name}", str(path)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                rc = main(argv + flags)
+            except SystemExit as exc:  # argparse exits by itself on a usage error
+                rc = exc.code
+    assert rc in (0, 1, 2)

@@ -5,14 +5,17 @@ import pytest
 
 from kreversible import (
     INFEASIBLE,
+    Graph,
     compute_forced_states,
     find_predecessor_tree,
     is_predecessor,
     root_tree,
+    step,
     successor_indices,
     transition_possible,
+    tree_decide,
 )
-from kreversible.generators import random_config, random_tree
+from kreversible.generators import hub_spokes_tree, random_config, random_tree
 from kreversible.oracle import config_index
 from helpers import all_configs, all_labeled_trees, path_graph, star_graph
 
@@ -168,3 +171,59 @@ def test_witnesses_are_pinned():
 
     digest = hashlib.sha256(b"".join(_witness_bytes())).hexdigest()
     assert digest == "61f2c4b416b774137b89e7b9267643c85b7fb79140134be5c9dabb1047d2166b"
+
+
+def _large_trees(n=2000):
+    """Random trees, a path, a caterpillar, a star and a hub tree near n vertices."""
+    half = n // 2
+    caterpillar = Graph(n, [(i, i + 1) for i in range(half - 1)] + [(j - half, j) for j in range(half, n)])
+    return [random_tree(n, seed=21), random_tree(n, seed=22), path_graph(n), caterpillar,
+            star_graph(n - 1), hub_spokes_tree((n - 1) // 3)]
+
+
+def _cases_small():
+    for n in range(1, 6):
+        configs = all_configs(n)
+        for g in all_labeled_trees(n):
+            t = root_tree(g, 0)
+            for k in (1, 2, 3):
+                for y in configs:
+                    yield t, k, y
+
+
+def _cases_large():
+    for i, g in enumerate(_large_trees()):
+        t = root_tree(g, 0)
+        for k in (1, 2, 3, 4, g.n + 5, 2**63, 10**400):
+            y = random_config(g.n, seed=400 + i)
+            yield t, k, y
+            yield t, k, step(g, k, random_config(g.n, seed=500 + i))
+
+
+@pytest.mark.parametrize("cases", [_cases_small, _cases_large], ids=["all-trees-n<=5", "n=2000"])
+def test_contraction_matches_scalar_pass(monkeypatch, cases):
+    cases = list(cases())
+    runs = []
+    for cutoff in (10**9, -1):  # the scalar pass everywhere, then the contraction everywhere
+        monkeypatch.setattr(tree_decide, "_CONTRACT_N", cutoff)
+        runs.append([find_predecessor_tree(t, k, y) for t, k, y in cases])
+    for (t, k, y), a, b in zip(cases, *runs):
+        assert (a is None) == (b is None)
+        if b is not None:
+            assert b.dtype == np.int8 and np.array_equal(a, b)
+            assert is_predecessor(t.graph, k, b, y)
+
+
+@pytest.mark.parametrize("cutoff", [10**9, -1], ids=["scalar", "contraction"])
+def test_large_decision_independent_of_root(monkeypatch, cutoff):
+    monkeypatch.setattr(tree_decide, "_CONTRACT_N", cutoff)
+    n = 2000
+    for g in (random_tree(n, seed=31), path_graph(n)):
+        for k in (1, 2, 3):
+            for y in (random_config(n, seed=32 + k), step(g, k, random_config(n, seed=35 + k))):
+                answers = set()
+                for r in (0, n // 2, n - 1):
+                    w = find_predecessor_tree(root_tree(g, r), k, y)
+                    answers.add(w is not None)
+                    assert w is None or is_predecessor(g, k, w, y)
+                assert len(answers) == 1
