@@ -338,6 +338,7 @@ def test_random_graph_output_is_pinned_per_seed():
     # np.unique-based generator; any rewrite must keep these bytes.
     import hashlib
 
+    from kreversible import graphs
     from kreversible.generators import random_graph
 
     pinned = {
@@ -346,7 +347,14 @@ def test_random_graph_output_is_pinned_per_seed():
         (5000, 20000, 7): "2582428f5e9f722ecfca265c159a90aba9a49be9f88ba95f3c709919dfdd379e",
         (5000, 20000, 2024): "93be7555226c4bd71c943696425edf39c2ce8231706a06947399cabd7db7783a",
         (2049, 1, 5): "5892379de7a21cc3d021b1fc94aebd0f6d50eeeae52b4531b501983f17c3e478",
+        # The benchmark's gen graph size, 5-digit ids, formatted in numpy ...
+        (100_000, 400_000, 0): "775a7c8e2c5ff8f405ef4b92e1505b5a0e2a43f547f5636e591c700585183f7c",
+        (100_000, 400_000, 1): "cd40ceb757630016ed4a0f5e6e30ff0bd7f0f425ec95254143175e01c0ee9a49",
+        # ... and ids crossing from 1 to 2 digits under the `%` format.
+        (12, 66, 0): "a7860f42ed2e9e7d092b8e58d71aef574bde8a04cbf7dc9352e32b1a32fdd545",
+        (12, 40, 5): "2e57f1724573451ee87a2ba602d14251d5e42b3062fc4c2b4d496da898df9b60",
     }
+    assert 66 <= graphs._MATRIX_WRITE_M < 400_000
     for args, digest in pinned.items():
         text = write_graph(random_graph(*args))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, args

@@ -372,6 +372,50 @@ def test_graph_matches_python_reference(case):
     assert write_graph(g) == _write_graph_lines(g)
 
 
+# Ids on both sides of every digit boundary up to 7 digits.
+_BOUNDARY_IDS = sorted({0} | {x for p in range(1, 7) for x in (10**p - 1, 10**p)})
+
+
+@pytest.mark.parametrize("cutoff", [-1, 10**9])  # the numpy pass, the `%` format
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(0),
+        Graph(1),
+        Graph(2),
+        Graph(2, [(0, 1)]),
+        Graph(10**6 + 1),
+        Graph(10**6 + 1, list(zip(_BOUNDARY_IDS, _BOUNDARY_IDS[1:]))),
+        Graph(10**6 + 1, [(x, 10**6) for x in _BOUNDARY_IDS[:-1]] + [(0, x) for x in _BOUNDARY_IDS[1:-1]]),
+    ],
+    ids=repr,
+)
+def test_write_graph_paths_agree_at_digit_boundaries(monkeypatch, cutoff, g):
+    monkeypatch.setattr(graphs, "_MATRIX_WRITE_M", cutoff)
+    text = write_graph(g)
+    assert text == _write_graph_lines(g)
+    assert parse_graph(text) == g
+
+
+def test_decimal_bytes_reaches_ten_digits():
+    # A Graph with ids this large would need a ~24 GB indptr, so the digit
+    # helper is called on its own.
+    vals = [0, 1, 9] + [x for p in range(1, 10) for x in (10**p - 1, 10**p)]
+    vals += [graphs._MAX_CODED_N - 1, 2**32 - 1]
+    v = np.array(vals, dtype=np.uint32)
+    out = graphs._decimal_bytes(v, np.uint8(10))
+    assert out.tobytes().decode("ascii") == "".join(f"{x}\n" for x in vals)
+    pairs = v[:-1].reshape(-1, 2)
+    out = graphs._decimal_bytes(pairs, (ord(" "), ord("\n")))
+    assert out.tobytes().decode("ascii") == "".join(f"{a} {b}\n" for a, b in pairs.tolist())
+    assert graphs._decimal_bytes(np.empty(0, dtype=np.uint32), np.uint8(10)).size == 0
+
+
+@pytest.mark.parametrize("text", ["1 0", "1 0\n", "\n5 0", "3 1\n0 2", b"3 1\n\n0 2\n\n"])
+def test_short_canonical_files_take_the_fast_path(text):
+    assert _parse_graph_canonical(text) == _parse_graph_lines(text)
+
+
 def _outcome(parse, *args):
     """A parser's result, or the message of the ValueError it raised."""
     try:
