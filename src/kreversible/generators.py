@@ -70,6 +70,11 @@ def random_config(n: int, seed: int) -> np.ndarray:
     return np.array([rng.choice((-1, 1)) for _ in range(n)], dtype=np.int8)
 
 
+# Largest n for which the generators list all n(n-1)/2 vertex pairs: at 2048
+# that is about 2.1 million tuples, and the list grows quadratically in n.
+_PAIR_LIST_N = 2048
+
+
 def _distinct_codes(rng, n: int, m: int) -> np.ndarray:
     """At least m distinct pair codes u * n + v (u < v), sorted, by rejection."""
     codes = np.empty(0, dtype=np.int64)
@@ -96,7 +101,7 @@ def random_graph(n: int, m: int, seed: int) -> Graph:
     limit = n * (n - 1) // 2
     if m > limit:
         raise ValueError(f"m={m} exceeds the {limit} possible edges")
-    if n <= 2048:
+    if n <= _PAIR_LIST_N:
         rng = random.Random(seed)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         chosen = rng.sample(pairs, m)
@@ -117,11 +122,16 @@ def random_graph(n: int, m: int, seed: int) -> Graph:
 
 
 def random_bounded_degree_graph(n: int, max_deg: int, seed: int, m: int | None = None) -> Graph:
-    """Random simple graph greedily respecting a degree cap."""
+    """Random simple graph greedily respecting a degree cap, for n <= 2048."""
     if max_deg < 0:
         raise ValueError(f"degree cap max_deg must be nonnegative, got {max_deg}")
     if m is not None and m < 0:
         raise ValueError(f"edge count m must be nonnegative, got {m}")
+    if n > _PAIR_LIST_N:
+        raise ValueError(
+            f"n must be at most {_PAIR_LIST_N} for a degree-capped graph, got {n}: it shuffles"
+            " all n(n-1)/2 pairs; use --regular (random_regular_graph) for larger graphs"
+        )
     rng = random.Random(seed)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)

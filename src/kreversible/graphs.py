@@ -127,31 +127,33 @@ class RootedTree:
     """Breadth-first orientation of a tree.
 
     ``parent[root]`` is None; ``parent_array`` holds the same parents as
-    int64, with -1 at the root.  ``children(v)`` lists children in ascending
-    vertex id, the fixed order every tree algorithm relies on.
-    ``bfs_order`` visits parents before children.
+    int64, with -1 at the root.  ``bfs_order`` visits parents before
+    children, and it is the only child structure: the children of the
+    vertex at BFS rank r are ``bfs_order[cptr[r]:cptr[r + 1]]``, in
+    ascending vertex id, with ``cptr`` from :meth:`child_slices`.
     """
 
-    __slots__ = ("graph", "root", "parent", "parent_array", "bfs_order", "_cptr", "_cidx")
+    __slots__ = ("graph", "root", "parent", "parent_array", "bfs_order", "_cptr")
 
-    def __init__(self, graph: Graph, root: int, parent, parent_array, bfs_order, cptr, cidx):
+    def __init__(self, graph: Graph, root: int, parent, parent_array, bfs_order, cptr):
         self.graph = graph
         self.root = root
         self.parent = parent
         self.parent_array = parent_array
         self.bfs_order = bfs_order
         self._cptr = cptr
-        self._cidx = cidx
 
     def children(self, v: int) -> list[int]:
-        return self._cidx[self._cptr[v]:self._cptr[v + 1]]
+        """Children of v in ascending id, read off ``parent_array`` in O(n)."""
+        return np.flatnonzero(self.parent_array == v).tolist()
 
     def n_children(self, v: int) -> int:
-        return self._cptr[v + 1] - self._cptr[v]
+        return int(np.count_nonzero(self.parent_array == v))
 
     def child_slices(self) -> tuple[list[int], list[int]]:
-        """Flat child storage (ptr, ids) for allocation-free traversal."""
-        return self._cptr, self._cidx
+        """``(cptr, bfs_order)``: the children of ``bfs_order[r]`` are
+        ``bfs_order[cptr[r]:cptr[r + 1]]``, so rank r's run follows rank r-1's."""
+        return self._cptr, self.bfs_order
 
     def __repr__(self) -> str:
         return f"RootedTree(n={self.graph.n}, root={self.root})"
@@ -372,17 +374,20 @@ def config_list(y, n: int) -> list[int]:
 
 
 # Vertex count above which _bfs_from hands the search to scipy's compiled
-# BFS, and k1 its partition to numpy.  At or below it a list loop is faster
-# and keeps scipy unimported, which tiny-instance callers would otherwise
-# pay for in start-up time and memory.  On a 2-core x86 VM root_tree took
-# 21 us against 131 us at n=7; the two paths cross between 256 (is_tree)
-# and 1024 (root_tree) vertices.
+# BFS, k1 its partition to numpy, and deg3 its implication graph to scipy's
+# compiled SCC (below it, lists and an iterative Tarjan).  At or below it the
+# list loops are faster and keep scipy unimported, which tiny-instance
+# callers would otherwise pay for in start-up time and memory.  On a 2-core
+# x86 VM root_tree took 21 us against 131 us at n=7; the two BFS paths cross
+# between 256 (is_tree) and 1024 (root_tree) vertices.
 _SMALL_N = 512
 
 
 def _bfs_from(g: Graph, root: int) -> tuple[np.ndarray, np.ndarray]:
     """BFS in time independent of depth: (int64 parents, -1 for root and
-    unreached vertices; int64 visit order of the vertices reached)."""
+    unreached vertices; int64 visit order of the vertices reached).  Both
+    paths scan each vertex's neighbours in CSR (ascending) order, so they
+    return the same order."""
     n = g.n
     if n > _SMALL_N:
         from scipy.sparse import csr_matrix
@@ -412,7 +417,7 @@ def _bfs_from(g: Graph, root: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def root_tree(g: Graph, root: int) -> RootedTree:
-    """Orient a tree from root via BFS; children ordered by ascending id."""
+    """Orient a tree from root via BFS; children are runs of the BFS order."""
     n = g.n
     if not 0 <= root < n:
         raise ValueError(f"root {root} out of range")
@@ -421,14 +426,13 @@ def root_tree(g: Graph, root: int) -> RootedTree:
     parent_arr, order = _bfs_from(g, root)
     if order.size != n:
         raise ValueError("not a tree: graph is disconnected")
-    nonroot = np.concatenate([np.arange(root), np.arange(root + 1, n)])
-    by_parent = nonroot[np.argsort(parent_arr[nonroot] * n + nonroot)]
-    counts = np.bincount(parent_arr[nonroot], minlength=n)
-    cptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=cptr[1:])
+    # A FIFO BFS over ascending neighbour lists appends each vertex's children
+    # as one run, in ascending id, right after the run of the vertex before it.
+    cptr = np.ones(n + 1, dtype=np.int64)
+    cptr[1:] += np.cumsum(np.bincount(parent_arr[order[1:]], minlength=n)[order])
     parent = parent_arr.tolist()
     parent[root] = None
-    return RootedTree(g, root, parent, parent_arr, order.tolist(), cptr.tolist(), by_parent.tolist())
+    return RootedTree(g, root, parent, parent_arr, order.tolist(), cptr.tolist())
 
 
 def is_tree(g: Graph) -> bool:

@@ -46,12 +46,12 @@ def count_predecessors_tree(tree: RootedTree, k: int, y) -> int:
     k = check_k(k)
     n = tree.graph.n
     ys = config_list(y, n)
-    cptr, cidx = tree.child_slices()
-    root = tree.root
+    cptr, order = tree.child_slices()
     # pair (count at +1, count at -1) per vertex, one table per parent context
     ctx_minus: list = [None] * n
     ctx_plus: list = [None] * n
-    for v in reversed(tree.bfs_order):
+    for r in range(n - 1, -1, -1):
+        v = order[r]
         tgt = ys[v]
         # off[j]: v in its target state, exactly j children off target;
         # on[j]: v in the opposite state, exactly j children on target;
@@ -60,9 +60,9 @@ def count_predecessors_tree(tree: RootedTree, k: int, y) -> int:
         off = [1]
         on = [1]
         tot = 1
-        for fi in range(cptr[v], cptr[v + 1]):
-            pair_t = (ctx_plus if tgt > 0 else ctx_minus)[cidx[fi]]
-            pair_o = (ctx_minus if tgt > 0 else ctx_plus)[cidx[fi]]
+        for f in order[cptr[r]:cptr[r + 1]]:
+            pair_t = (ctx_plus if tgt > 0 else ctx_minus)[f]
+            pair_o = (ctx_minus if tgt > 0 else ctx_plus)[f]
             if tgt > 0:
                 wt_t, wo_t = pair_t
                 wt_o, wo_o = pair_o
@@ -83,7 +83,7 @@ def count_predecessors_tree(tree: RootedTree, k: int, y) -> int:
         # with deg = children + 1 below the root and deg = children at it):
         # at least deg-k (deg-k+1) children on target is at most k-1 (k-2) off,
         # and at least k-1 (k) on is tot minus the first k-1 (k) cells of on
-        if v == root:
+        if r == 0:
             return sum(off) + tot - sum(on)
         e_t_same = sum(off)
         e_t_diff = sum(off[:k - 1])
@@ -97,7 +97,7 @@ def count_predecessors_tree(tree: RootedTree, k: int, y) -> int:
         else:
             ctx_minus[v] = (e_o_same, e_t_same)
             ctx_plus[v] = (e_o_diff, e_t_diff)
-    raise AssertionError("unreachable: bfs_order always ends at the root")
+    raise AssertionError("unreachable: rank 0 is the root")
 
 
 def count_predecessors_tree_by_subsets(tree: RootedTree, k: int, y, max_children: int = 10) -> int:
@@ -110,8 +110,7 @@ def count_predecessors_tree_by_subsets(tree: RootedTree, k: int, y, max_children
     n = tree.graph.n
     ys = config_list(y, n)
     deg = tree.graph.degrees().tolist()
-    cptr, cidx = tree.child_slices()
-    root = tree.root
+    cptr, order = tree.child_slices()
     ctx_minus: list = [None] * n
     ctx_plus: list = [None] * n
 
@@ -130,13 +129,14 @@ def count_predecessors_tree_by_subsets(tree: RootedTree, k: int, y, max_children
             total += ways
         return total
 
-    for v in reversed(tree.bfs_order):
-        kids = cidx[cptr[v]:cptr[v + 1]]
+    for r in range(n - 1, -1, -1):
+        v = order[r]
+        kids = order[cptr[r]:cptr[r + 1]]
         if len(kids) > max_children:
             raise ValueError(f"vertex {v} has {len(kids)} children, above the guard")
         d = deg[v]
         tgt = ys[v]
-        if v == root:
+        if r == 0:
             at_plus = tally(kids, ctx_plus, tgt, children_threshold(d, tgt, 1, None, k))
             at_minus = tally(kids, ctx_minus, tgt, children_threshold(d, tgt, -1, None, k))
             return at_plus + at_minus
@@ -148,4 +148,4 @@ def count_predecessors_tree_by_subsets(tree: RootedTree, k: int, y, max_children
             tally(kids, ctx_plus, tgt, children_threshold(d, tgt, 1, 1, k)),
             tally(kids, ctx_minus, tgt, children_threshold(d, tgt, -1, 1, k)),
         )
-    raise AssertionError("unreachable: bfs_order always ends at the root")
+    raise AssertionError("unreachable: rank 0 is the root")

@@ -80,7 +80,7 @@ def compute_forced_states(tree: RootedTree, k: int, y) -> ForcedStateTable:
     n = tree.graph.n
     ys = config_list(y, n)
     parent = tree.parent
-    cptr, cidx = tree.child_slices()
+    cptr, order = tree.child_slices()
     tm = [UNSET] * n
     tp = [UNSET] * n
     root_out: dict[int, int] = {}
@@ -90,10 +90,11 @@ def compute_forced_states(tree: RootedTree, k: int, y) -> ForcedStateTable:
     root_contexts = ((0, root_out),)
     child_contexts = ((-1, tm), (1, tp))
 
-    for v in reversed(tree.bfs_order):
+    for r in range(n - 1, -1, -1):
+        v = order[r]
         p = parent[v]
         tgt = ys[v]
-        kids = cidx[cptr[v]:cptr[v + 1]]
+        kids = order[cptr[r]:cptr[r + 1]]
         # first trial: the parent's target state (root: +1)
         if p is None:
             todo, first = root_contexts, 1
@@ -288,14 +289,9 @@ def find_predecessor_tree(tree: RootedTree, k: int, y) -> np.ndarray | None:
     table = compute_forced_states(tree, k, y)
     if table.root_entry == INFEASIBLE:
         return None
-    n = tree.graph.n
-    cptr, cidx = tree.child_slices()
-    w = [0] * n
+    w = [0] * tree.graph.n
     w[tree.root] = table.root_entry
-    tm, tp = table._minus, table._plus
-    for v in tree.bfs_order:
-        tbl = tm if w[v] < 0 else tp
-        for fi in range(cptr[v], cptr[v + 1]):
-            f = cidx[fi]
-            w[f] = tbl[f]
+    tm, tp, parent = table._minus, table._plus, tree.parent
+    for v in tree.bfs_order[1:]:
+        w[v] = (tm if w[parent[v]] < 0 else tp)[v]
     return np.array(w, dtype=np.int8)

@@ -390,16 +390,20 @@ def test_gen_outputs_parse_and_validate(tmp_path, capsys):
     parse_config(capsys.readouterr().out, 6)
 
 
-@pytest.mark.parametrize("argv, name", [
-    (["gen", "config", "--n", "-5", "--seed", "1"], "n"),
-    (["gen", "graph", "--n", "5", "--m", "-1", "--seed", "1"], "m"),
-    (["gen", "graph", "--n", "5", "--max-degree", "3", "--m", "-1", "--seed", "1"], "m"),
-    (["gen", "graph", "--n", "5", "--max-degree", "-1", "--seed", "1"], "max_deg"),
-    (["gen", "graph", "--n", "6", "--regular", "-2", "--seed", "1"], "d"),
-])
-def test_gen_rejects_negative_sizes(capsys, argv, name):
+# Each message starts with the parameter it refuses, which names the case.
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "config", "--n", "-5", "--seed", "1"], "n must be nonnegative"),
+    (["gen", "graph", "--n", "5", "--m", "-1", "--seed", "1"], "m must be nonnegative"),
+    (["gen", "graph", "--n", "5", "--max-degree", "3", "--m", "-1", "--seed", "1"], "m must be nonnegative"),
+    (["gen", "graph", "--n", "5", "--max-degree", "-1", "--seed", "1"], "max_deg must be nonnegative"),
+    (["gen", "graph", "--n", "6", "--regular", "-2", "--seed", "1"], "d must be nonnegative"),
+    # the degree-capped generator shuffles all n(n-1)/2 pairs
+    (["gen", "graph", "--n", "2049", "--max-degree", "3", "--m", "5", "--seed", "1"],
+     "n must be at most 2048 for a degree-capped graph, got 2049"),
+], ids=lambda v: v.split()[0] if isinstance(v, str) else None)
+def test_gen_rejects_negative_sizes(capsys, argv, message):
     assert main(argv) == 2
-    assert f"{name} must be nonnegative" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["pre", "count"])

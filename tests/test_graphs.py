@@ -195,7 +195,12 @@ def test_bfs_paths_root_trees_alike(monkeypatch, n):
                 rooted[name] = root_tree(g, root)
             a, b = rooted["list"], rooted["scipy"]
             assert a.parent == b.parent
+            assert a.bfs_order == b.bfs_order
             assert a.child_slices() == b.child_slices()
+            # children(v) reads parent_array, independently of cptr
+            cptr, order = a.child_slices()
+            assert all(order[cptr[r]:cptr[r + 1]] == a.children(order[r]) for r in range(n))
+            assert [i for r in range(n) for i in range(cptr[r], cptr[r + 1])] == list(range(1, n))
             for t in (a, b):
                 assert sorted(t.bfs_order) == list(range(n))
                 pos = {v: i for i, v in enumerate(t.bfs_order)}
