@@ -9,20 +9,19 @@ the vertex's own state.  Targets of -1 use the same clauses with every
 literal negated.  One table, ``_CLAUSES_BY_DEGREE``, holds these rules for
 every builder.
 
-The instance is solved by the strongly-connected-component method on the
-implication graph.  Graphs of at most ``graphs._SMALL_N`` vertices build the
-implication arcs as lists and run an iterative Tarjan; larger ones build
-them as numpy arrays straight from the CSR and run scipy's compiled SCC,
-whose labels are checked on every call to be in reverse topological order.
+The instance is solved by strongly connected components of the implication
+graph.  Up to ``_TARJAN_N`` variables the arcs are lists and a recursive
+Tarjan labels them; above, they are numpy arrays built from the CSR and
+scipy's compiled SCC labels them, its label order checked on every call.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import graphs
 from .graphs import Graph, as_config, max_degree
 
 __all__ = [
@@ -34,6 +33,10 @@ __all__ = [
 ]
 
 Literal = tuple[int, bool]  # (variable id, positive?)
+
+# Variable count above which scipy's compiled SCC beats Tarjan over lists, as
+# measured in the crossover table of ROADMAP.md's baseline.
+_TARJAN_N = 72
 
 # The clauses of a vertex by its degree, over its slots: slot 0 is the vertex
 # itself, slots 1..d its neighbors in ascending order.  Each clause asks at
@@ -119,61 +122,34 @@ def _implication_arrays(g: Graph, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _tarjan_components(nn: int, src: list[int], dst: list[int]) -> list[int]:
-    """SCC number per node, numbered in reverse topological order.
-
-    Iterative Tarjan; deterministic for a fixed arc order.
-    """
-    order = sorted(range(len(src)), key=src.__getitem__)
-    indices = [dst[i] for i in order]
-    indptr = [0] * (nn + 1)
-    for s in src:
-        indptr[s + 1] += 1
-    for i in range(nn):
-        indptr[i + 1] += indptr[i]
-
+    """SCC number per node in reverse topological order: textbook recursive
+    Tarjan, deterministic for a fixed arc order.  Only ``_TARJAN_N`` or fewer
+    variables come here, so it recurses at most 2 * _TARJAN_N frames deep."""
+    adj: list[list[int]] = [[] for _ in range(nn)]
+    for s, d in zip(src, dst):
+        adj[s].append(d)
     index = [-1] * nn
-    low = [0] * nn
-    comp = [-1] * nn
-    on_stack = bytearray(nn)
-    cursor = [0] * nn
-    tstack: list[int] = []
-    counter = 0
-    ncomp = 0
-    for s0 in range(nn):
-        if index[s0] >= 0:
-            continue
-        index[s0] = low[s0] = counter
-        counter += 1
-        tstack.append(s0)
-        on_stack[s0] = 1
-        cursor[s0] = indptr[s0]
-        call = [s0]
-        while call:
-            v = call[-1]
-            if cursor[v] < indptr[v + 1]:
-                w = indices[cursor[v]]
-                cursor[v] += 1
-                if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    tstack.append(w)
-                    on_stack[w] = 1
-                    cursor[w] = indptr[w]
-                    call.append(w)
-                elif on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                call.pop()
-                if call and low[v] < low[call[-1]]:
-                    low[call[-1]] = low[v]
-                if low[v] == index[v]:
-                    while True:
-                        w = tstack.pop()
-                        on_stack[w] = 0
-                        comp[w] = ncomp
-                        if w == v:
-                            break
-                    ncomp += 1
+    comp = [-1] * nn  # -1 on a visited node: it is still on the stack
+    stack: list[int] = []
+    visits, comps = itertools.count(), itertools.count()
+
+    def visit(v: int) -> int:  # returns v's low link
+        index[v] = low = next(visits)
+        stack.append(v)
+        for w in adj[v]:
+            if index[w] < 0:
+                low = min(low, visit(w))
+            elif comp[w] < 0:
+                low = min(low, index[w])
+        if low == index[v]:
+            c = next(comps)
+            while comp[v] < 0:
+                comp[stack.pop()] = c
+        return low
+
+    for v in range(nn):
+        if index[v] < 0:
+            visit(v)
     return comp
 
 
@@ -200,7 +176,7 @@ def _solve(num_vars: int, src, dst) -> np.ndarray | None:
     A variable is true iff its positive literal's component comes before its
     negation's in reverse topological order.
     """
-    if num_vars <= graphs._SMALL_N:
+    if num_vars <= _TARJAN_N:
         comp = _tarjan_components(2 * num_vars, src, dst)
         pos, neg = comp[0::2], comp[1::2]
         if any(map(int.__eq__, pos, neg)):
@@ -243,9 +219,8 @@ def solve_2sat(inst: TwoSatInstance) -> list[bool] | None:
 def find_predecessor_deg3(g: Graph, y) -> np.ndarray | None:
     """Witness predecessor of y under k = 2 on a max-degree-3 graph."""
     y = _checked_target(g, y)
-    if g.n <= graphs._SMALL_N:
-        return _solve(g.n, *_implication_lists(g, y))
-    return _solve(g.n, *_implication_arrays(g, y))
+    arcs = _implication_lists if g.n <= _TARJAN_N else _implication_arrays
+    return _solve(g.n, *arcs(g, y))
 
 
 def to_dimacs(inst: TwoSatInstance) -> str:

@@ -6,6 +6,8 @@ byte-identical across runs and usable as frozen test fixtures.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import random
 
 import numpy as np
@@ -70,8 +72,10 @@ def random_config(n: int, seed: int) -> np.ndarray:
     return np.array([rng.choice((-1, 1)) for _ in range(n)], dtype=np.int8)
 
 
-# Largest n for which the generators list all n(n-1)/2 vertex pairs: at 2048
-# that is about 2.1 million tuples, and the list grows quadratically in n.
+# Largest n for which random_graph draws with random.Random, the sampler of
+# its pinned per-seed outputs, and random_bounded_degree_graph lists all
+# n(n-1)/2 vertex pairs: at 2048 that is about 2.1 million tuples, and the
+# list grows quadratically in n.
 _PAIR_LIST_N = 2048
 
 
@@ -102,10 +106,13 @@ def random_graph(n: int, m: int, seed: int) -> Graph:
     if m > limit:
         raise ValueError(f"m={m} exceeds the {limit} possible edges")
     if n <= _PAIR_LIST_N:
-        rng = random.Random(seed)
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        chosen = rng.sample(pairs, m)
-        return Graph(n, chosen)
+        # Sampling indices draws the same as sampling the list of pairs
+        # (u, v), u < v, in lexicographic order, which is never built:
+        # ends[u] pairs have a first vertex of at most u, so pair i lies
+        # ends[u] - i places from the end of u's run, which is (u, n - 1).
+        ends = list(itertools.accumulate(range(n - 1, 0, -1)))
+        chosen = random.Random(seed).sample(range(limit), m)
+        return Graph(n, [(u := bisect.bisect_right(ends, i), n - (ends[u] - i)) for i in chosen])
     rng = np.random.default_rng(seed)
     if m <= limit // 2:
         codes = np.sort(rng.choice(_distinct_codes(rng, n, m), size=m, replace=False))

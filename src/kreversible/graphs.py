@@ -7,6 +7,8 @@ All structures are immutable after construction.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = [
@@ -43,22 +45,35 @@ class Graph:
     __slots__ = ("n", "m", "_eu", "_ev", "_indptr", "_indices", "_adj", "_degs")
 
     def __init__(self, n: int, edges=()):
+        if isinstance(n, bool):
+            raise ValueError("vertex count must be an integer")
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValueError("vertex count must be an integer") from None
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         if n > _INT64_MAX:
             raise ValueError("vertex count must fit in int64")
-        try:
-            e = np.asarray(edges, dtype=np.int64)
-        except OverflowError:
-            raise ValueError("edge endpoint out of range") from None
-        if e.size == 0:
-            e = e.reshape(0, 2)
+        e = np.asarray(edges)
+        if e.size == 0:  # numpy makes an empty list float64
+            e = np.zeros((0, 2), dtype=np.int64)
         if e.ndim != 2 or e.shape[1] != 2:
             raise ValueError("edges must be pairs of vertex ids")
+        if e.dtype.kind not in "iu":
+            # numpy gives Python ints a float64 or object dtype only when one
+            # of them is at least 2**63, so out of range; anything else, such
+            # as 1.7, is not a vertex id.
+            try:
+                huge = e.dtype.kind in "fO" and bool((abs(e) >= 2**63).any())
+            except TypeError:  # an object that is not a number
+                huge = False
+            raise ValueError("edge endpoint out of range" if huge else "edge endpoints must be integers")
         if e.size and n > _MAX_CODED_N:
             raise ValueError(f"vertex count must be at most {_MAX_CODED_N} in a graph with edges")
         if e.size and (e.min() < 0 or e.max() >= n):
             raise ValueError("edge endpoint out of range")
+        e = e.astype(np.int64, copy=False)
         u, v = e[:, 0], e[:, 1]
         loops = u == v
         if loops.any():
@@ -353,13 +368,18 @@ def format_config(y) -> str:
 
 
 def as_config(y, n: int) -> np.ndarray:
-    """Normalize y to a validated int8 state array of length n."""
-    arr = np.asarray(y, dtype=np.int8)
+    """Normalize y to a validated int8 state array of length n.
+
+    States are checked before the cast to int8, which would read 255 as -1
+    and 1.5 as 1.
+    """
+    arr = np.asarray(y)
     if arr.shape != (n,):
         raise ValueError(f"configuration length {arr.shape} does not match n={n}")
-    if arr.size and not np.all(np.abs(arr) == 1):
+    ok = np.abs(arr) == 1 if arr.dtype == np.int8 else (arr == 1) | (arr == -1)
+    if arr.size and not ok.all():
         raise ValueError("states must be -1 or +1")
-    return arr
+    return arr.astype(np.int8, copy=False)
 
 
 def config_list(y, n: int) -> list[int]:
@@ -374,12 +394,11 @@ def config_list(y, n: int) -> list[int]:
 
 
 # Vertex count above which _bfs_from hands the search to scipy's compiled
-# BFS, k1 its partition to numpy, and deg3 its implication graph to scipy's
-# compiled SCC (below it, lists and an iterative Tarjan).  At or below it the
-# list loops are faster and keep scipy unimported, which tiny-instance
-# callers would otherwise pay for in start-up time and memory.  On a 2-core
-# x86 VM root_tree took 21 us against 131 us at n=7; the two BFS paths cross
-# between 256 (is_tree) and 1024 (root_tree) vertices.
+# BFS and k1 its partition to numpy (deg3 has its own cutoff, _TARJAN_N).
+# At or below it the list loops are faster and keep scipy unimported, which
+# tiny-instance callers would otherwise pay for in start-up time and memory.
+# On a 2-core x86 VM root_tree took 21 us against 131 us at n=7; the two BFS
+# paths cross between 256 (is_tree) and 1024 (root_tree) vertices.
 _SMALL_N = 512
 
 

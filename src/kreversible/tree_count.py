@@ -1,7 +1,7 @@
 """Exact predecessor counting on trees, for any threshold k.
 
-Per vertex v and parent state c, a pair holds the number of predecessors of
-the target restricted to v's subtree with v at +1 and at -1.  Whether a
+Per vertex v and parent state, a pair counts the target's predecessors on
+v's subtree with v in the parent's target state and opposite it.  Whether a
 candidate state for v is consistent depends only on how many children sit in
 v's target state, so the children combine through a small counting DP (ways
 to have exactly j children off or on target) instead of enumerating child
@@ -46,10 +46,12 @@ def count_predecessors_tree(tree: RootedTree, k: int, y) -> int:
     k = check_k(k)
     n = tree.graph.n
     ys = config_list(y, n)
+    parent = tree.parent
     cptr, order = tree.child_slices()
-    # pair (count at +1, count at -1) per vertex, one table per parent context
-    ctx_minus: list = [None] * n
-    ctx_plus: list = [None] * n
+    # cells[v], in the frame of v's parent p: with p in its target state, the
+    # ways with v in p's target state and with v opposite it; then the same
+    # two with p opposite its target.
+    cells: list = [None] * n
     for r in range(n - 1, -1, -1):
         v = order[r]
         tgt = ys[v]
@@ -61,14 +63,7 @@ def count_predecessors_tree(tree: RootedTree, k: int, y) -> int:
         on = [1]
         tot = 1
         for f in order[cptr[r]:cptr[r + 1]]:
-            pair_t = (ctx_plus if tgt > 0 else ctx_minus)[f]
-            pair_o = (ctx_minus if tgt > 0 else ctx_plus)[f]
-            if tgt > 0:
-                wt_t, wo_t = pair_t
-                wt_o, wo_o = pair_o
-            else:
-                wo_t, wt_t = pair_t
-                wo_o, wt_o = pair_o
+            wt_t, wo_t, wt_o, wo_o = cells[f]
             tot *= wt_o + wo_o
             top = len(off)
             if top < k:
@@ -85,18 +80,10 @@ def count_predecessors_tree(tree: RootedTree, k: int, y) -> int:
         # and at least k-1 (k) on is tot minus the first k-1 (k) cells of on
         if r == 0:
             return sum(off) + tot - sum(on)
-        e_t_same = sum(off)
-        e_t_diff = sum(off[:k - 1])
-        e_o_same = tot - sum(on[:k - 1])
-        e_o_diff = tot - sum(on)
-        # pair order: (count with v at +1, count with v at -1);
-        # same/diff mean the parent context agreeing with the target or not
-        if tgt > 0:
-            ctx_plus[v] = (e_t_same, e_o_same)
-            ctx_minus[v] = (e_t_diff, e_o_diff)
-        else:
-            ctx_minus[v] = (e_o_same, e_t_same)
-            ctx_plus[v] = (e_o_diff, e_t_diff)
+        # the cells in v's own frame: the parent in v's target state, then opposite
+        c = (sum(off), tot - sum(on[:k - 1]), sum(off[:k - 1]), tot - sum(on))
+        # a parent with the other target reads both its own state and v's flipped
+        cells[v] = c if ys[parent[v]] == tgt else c[::-1]
     raise AssertionError("unreachable: rank 0 is the root")
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import kreversible
-from kreversible import graphs
+from kreversible import deg3
 from kreversible import (
     Graph,
     TwoSatInstance,
@@ -20,10 +20,16 @@ from kreversible import (
     predecessor_clauses,
     root_tree,
     solve_2sat,
+    step,
     successor_indices,
     to_dimacs,
 )
-from kreversible.generators import random_bounded_degree_graph, random_config, random_tree
+from kreversible.generators import (
+    random_bounded_degree_graph,
+    random_config,
+    random_regular_graph,
+    random_tree,
+)
 from kreversible.oracle import config_index
 from helpers import (
     all_configs,
@@ -185,33 +191,46 @@ def test_solve_2sat_rejects_out_of_range_variable_ids():
 
 
 # find_predecessor_deg3 and solve_2sat run Tarjan's list path at or below
-# graphs._SMALL_N variables and scipy's compiled SCC above it; each cutoff
+# deg3._TARJAN_N variables and scipy's compiled SCC above it; each cutoff
 # forces one path on any instance.
 _SCC_PATHS = {"list": 10**9, "compiled": 0}
+_CUTOFF = deg3._TARJAN_N  # read before any test patches it
 
 
 def _deg3_instances():
-    """(graph, targets): the structured graphs with every target, and random
-    max-degree-3 graphs of up to 12 vertices, each degree class included."""
+    """(graph, targets): the structured graphs with every target, random
+    max-degree-3 graphs of up to 12 vertices, each degree class included,
+    and graphs around the path cutoff and up to 512 vertices: cubic ones
+    (maximal greedy ones at odd n) and sparse bounded-degree ones, half
+    their targets images of a step."""
     for g in _structured_graphs():
         yield g, all_configs(g.n)
     for s in range(40):
         n = 3 + (s % 10)
         g = random_bounded_degree_graph(n, 3, seed=7000 + s, m=None if s % 2 else n + s % 3)
         yield g, [random_config(n, seed=9000 + 100 * s + j) for j in range(12)]
+    for s, n in enumerate((_CUTOFF - 1, _CUTOFF, _CUTOFF + 1, 200, 512)):
+        dense = random_regular_graph(n, 3, seed=s) if n % 2 == 0 else random_bounded_degree_graph(n, 3, seed=s)
+        for g in (dense, random_bounded_degree_graph(n, 3, seed=s, m=n)):
+            configs = [random_config(n, seed=9500 + 10 * s + j) for j in range(8)]
+            yield g, [step(g, 2, y) if j % 2 else y for j, y in enumerate(configs)]
 
 
 def test_small_and_large_paths_agree(monkeypatch):
     for cutoff in _SCC_PATHS.values():
-        monkeypatch.setattr(graphs, "_SMALL_N", cutoff)
+        monkeypatch.setattr(deg3, "_TARJAN_N", cutoff)
         assert find_predecessor_deg3(Graph(2, [(0, 1)]), [1, -1]).tolist() == [1, -1]
     for g, targets in _deg3_instances():
-        counts = np.bincount(successor_indices(g, 2), minlength=1 << g.n)
-        for y in targets:
-            expected = counts[config_index(y)] > 0
+        # the oracle for graphs it can enumerate, else the list path's answer
+        counts = np.bincount(successor_indices(g, 2), minlength=1 << g.n) if g.n <= 12 else None
+        for j, y in enumerate(targets):
+            expected = None if counts is None else counts[config_index(y)] > 0
             for cutoff in _SCC_PATHS.values():
-                monkeypatch.setattr(graphs, "_SMALL_N", cutoff)
+                monkeypatch.setattr(deg3, "_TARJAN_N", cutoff)
                 w = find_predecessor_deg3(g, y)
+                if expected is None:
+                    expected = w is not None
+                    assert expected or j % 2 == 0  # an image of a step has a predecessor
                 assert (w is not None) == expected
                 if w is not None:
                     assert w.dtype == np.int8 and is_predecessor(g, 2, w, y)
@@ -235,7 +254,7 @@ def test_scc_label_order_is_checked(monkeypatch):
         return ncomp, seen[-1]
 
     monkeypatch.setattr(csgraph, "connected_components", reversed_labels)
-    monkeypatch.setattr(graphs, "_SMALL_N", 0)
+    monkeypatch.setattr(deg3, "_TARJAN_N", 0)
     g, y = Graph(2, [(0, 1)]), [1, -1]
     with pytest.raises(RuntimeError, match="topological"):
         find_predecessor_deg3(g, y)
@@ -246,17 +265,21 @@ def test_scc_label_order_is_checked(monkeypatch):
 
 
 def test_small_twosat_routes_never_import_scipy():
-    # The sweep-sized 2SAT instances stay on the list path, so they must not
-    # pay scipy's import time and memory.
+    # The sweep-sized 2SAT instances, and all others up to the path cutoff,
+    # stay on the list path, so they must not pay scipy's import time and
+    # memory.
     code = (
         "import sys\n"
         "import kreversible as kr\n"
         "from kreversible.route import choose_method\n"
         "g = kr.Graph(10, [(i, (i + 1) % 10) for i in range(10)] + [(0, 5), (2, 7), (3, 8)])\n"
-        "assert choose_method(g, 2, 'auto') == 'twosat'\n"
-        "y = kr.step(g, 2, [1, -1, -1, 1, 1, -1, 1, -1, -1, 1])\n"
-        "assert kr.find_predecessor_deg3(g, y) is not None\n"
-        "assert kr.find_predecessor(g, 2, y) is not None\n"
+        "n = kr.deg3._TARJAN_N\n"
+        "cubic = kr.Graph(n, [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(n // 2)])\n"
+        "for g, x in [(g, [1, -1, -1, 1, 1, -1, 1, -1, -1, 1]), (cubic, [1, -1, -1] * (n // 3) + [1] * (n % 3))]:\n"
+        "    assert choose_method(g, 2, 'auto') == 'twosat'\n"
+        "    y = kr.step(g, 2, x)\n"
+        "    assert kr.find_predecessor_deg3(g, y) is not None\n"
+        "    assert kr.find_predecessor(g, 2, y) is not None\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(kreversible.__file__)))

@@ -301,6 +301,35 @@ def test_edge_codes_must_fit_in_int64():
                 parse(text)
 
 
+@pytest.mark.parametrize(
+    "n,edges,fragment",
+    [
+        (3, [(0, 1.7)], "endpoints must be integers"),  # a cast to int64 read (0, 1)
+        (3, np.array([[0.0, 1.0]]), "endpoints must be integers"),
+        (3, [(0, float("nan"))], "endpoints must be integers"),
+        (3, [(False, True)], "endpoints must be integers"),
+        (3, [(0, None)], "endpoints must be integers"),
+        (3, [("0", "1")], "endpoints must be integers"),
+        (2, [(0, 2**63)], "out of range"),  # numpy makes this list float64
+        (2, [(0, 2**64)], "out of range"),  # and this one object
+        (2, np.array([[0, 2**63]], dtype=np.uint64), "out of range"),  # would wrap in int64
+        (3.5, [], "vertex count must be an integer"),
+        (True, [], "vertex count must be an integer"),
+        ("3", [], "vertex count must be an integer"),
+    ],
+)
+def test_graph_refuses_non_integer_input(n, edges, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        Graph(n, edges)
+
+
+def test_graph_accepts_integer_like_input():
+    g = Graph(np.int64(3), np.array([[1, 0]], dtype=np.uint8))
+    assert type(g.n) is int and g.n == 3 and g.edges == [(0, 1)]
+    assert Graph(3, []).m == 0  # numpy makes an empty list float64
+    assert Graph(3, np.empty((0, 2))).m == 0
+
+
 def _reference_graph(n, edges):
     """(sorted canonical edges, ascending neighbor lists) by plain Python,
     or the text of the ValueError Graph raises on the same edge list."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kreversible as kr
+from kreversible import deg3, graphs, tree_decide
 from kreversible.generators import random_bounded_degree_graph, random_config, random_graph
 from kreversible.oracle import config_index
 from kreversible.route import ROUTES, route
@@ -100,3 +101,45 @@ def test_method_lists_follow_the_table():
         kr.find_predecessor(path_graph(3), 2, [1] * 3, method="nope")
     with pytest.raises(ValueError, match="counting is available"):
         kr.count_predecessors(complete_graph(5), 3, [1] * 5, oracle_limit=4)
+
+
+def _bad_targets(n):
+    """Length-n targets with a state that is not -1 or +1, each of which a
+    cast to int8 would turn into a valid one, or that int8 cannot hold."""
+    rest = [1] * (n - 1)
+    return [
+        np.array([255] + rest, dtype=np.uint8),  # int8 reads -1
+        np.array([257] + rest),  # int8 reads +1
+        [1.5] + rest,  # int8 reads 1
+        [-1.9] + rest,  # int8 reads -1
+        [300] + rest,
+        [0] + rest,
+        [None] + rest,
+        ["1"] + rest,
+    ]
+
+
+# One instance per row of the table, and per solver path where a row has two.
+_EVERY_PATH = [
+    (path_graph(3), 1, "pre1"),
+    (path_graph(graphs._SMALL_N + 1), 1, "pre1"),
+    (path_graph(3), 2, "tree"),
+    (path_graph(tree_decide._CONTRACT_N + 1), 2, "tree"),
+    (cycle_graph(4), 2, "twosat"),
+    (cycle_graph(deg3._TARJAN_N + 1), 2, "twosat"),
+    (path_graph(3), 3, "fixed"),
+    (cycle_graph(4), 2, "oracle"),
+]
+
+
+@pytest.mark.parametrize("g,k,method", _EVERY_PATH, ids=lambda x: str(x))
+def test_bad_targets_are_refused_on_every_route(g, k, method):
+    counts = route(g, k, method)[0].count is not None
+    for y in _bad_targets(g.n):
+        with pytest.raises(ValueError, match=r"states must be -1 or \+1"):
+            kr.find_predecessor(g, k, y, method=method)
+        if counts:
+            with pytest.raises(ValueError, match=r"states must be -1 or \+1"):
+                kr.count_predecessors(g, k, y, method=method)
+        with pytest.raises(ValueError, match=r"states must be -1 or \+1"):
+            kr.step(g, k, y)
