@@ -154,7 +154,10 @@ def random_bounded_degree_graph(n: int, max_deg: int, seed: int, m: int | None =
     return Graph(n, edges)
 
 
-def random_regular_graph(n: int, d: int, seed: int, max_tries: int = 500) -> Graph:
+_PAIRING_TRIES = 500  # stub pairings random_regular_graph draws before giving up
+
+
+def random_regular_graph(n: int, d: int, seed: int) -> Graph:
     """Random d-regular simple graph via stub pairing with retries."""
     if d < 0:
         raise ValueError(f"degree d must be nonnegative, got {d}")
@@ -164,7 +167,7 @@ def random_regular_graph(n: int, d: int, seed: int, max_tries: int = 500) -> Gra
         raise ValueError("degree must be below n")
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-    for _ in range(max_tries):
+    for _ in range(_PAIRING_TRIES):
         perm = rng.permutation(stubs)
         u, v = perm[0::2], perm[1::2]
         if np.any(u == v):
@@ -174,7 +177,7 @@ def random_regular_graph(n: int, d: int, seed: int, max_tries: int = 500) -> Gra
         if np.unique(codes).size != codes.size:
             continue
         return Graph(n, np.stack([lo, hi], axis=1))
-    raise RuntimeError(f"no simple {d}-regular pairing found in {max_tries} tries")
+    raise RuntimeError(f"no simple {d}-regular pairing found in {_PAIRING_TRIES} tries")
 
 
 def hub_spokes_tree(p: int) -> Graph:

@@ -394,7 +394,7 @@ def config_list(y, n: int) -> list[int]:
 
 
 # Vertex count above which _bfs_from hands the search to scipy's compiled
-# BFS and k1 its partition to numpy (deg3 has its own cutoff, _TARJAN_N).
+# BFS (k1 and deg3 have their own cutoffs, _LIST_N and _TARJAN_N).
 # At or below it the list loops are faster and keep scipy unimported, which
 # tiny-instance callers would otherwise pay for in start-up time and memory.
 # On a 2-core x86 VM root_tree took 21 us against 131 us at n=7; the two BFS

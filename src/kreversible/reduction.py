@@ -3,11 +3,11 @@
 An exactly-two formula (every clause satisfied by exactly two true literals)
 turns into a graph plus target configuration such that the target has a
 predecessor under the k-reversible rule iff the formula is satisfiable.
-Each variable contributes a pair of literal vertices tied together by two
-shared anchors plus pendant vertices that pin the anchors; each clause
-contributes a pair of clause vertices adjacent to its three literal
-vertices, padded with pendants so the thresholds come out right.  The
-construction is bipartite and its exact size is linear in the formula.
+The gadget repeats two block templates, each written once as data: per
+variable, two literal vertices sharing two anchors; per clause, two clause
+vertices joined to its three literal vertices; both padded with pendant
+families so the thresholds come out right.  The construction is bipartite
+and its exact size is linear in the formula.
 
 Exactly-one formulas convert to exactly-two ones by flipping every literal.
 """
@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Graph, as_config
+from .graphs import Graph, _ascii_int, _decode, as_config
 
 __all__ = [
     "ClauseSemantics",
@@ -91,11 +91,9 @@ class Cnf3:
 
 def parse_dimacs(text, semantics: ClauseSemantics = ClauseSemantics.EXACTLY_TWO) -> Cnf3:
     """Parse DIMACS CNF ('p cnf N M', 0-terminated 3-literal clauses)."""
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
     tokens: list[str] = []
     header: tuple[int, int] | None = None
-    for line in text.splitlines():
+    for line in _decode(text).splitlines():
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
             continue
@@ -105,14 +103,14 @@ def parse_dimacs(text, semantics: ClauseSemantics = ClauseSemantics.EXACTLY_TWO)
             parts = stripped.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"bad problem line: {stripped!r}")
-            header = (int(parts[2]), int(parts[3]))
+            header = (_ascii_int(parts[2]), _ascii_int(parts[3]))
             continue
         tokens.extend(stripped.split())
     if header is None:
         raise ValueError("missing 'p cnf' line")
     num_vars, num_clauses = header
     try:
-        ints = [int(t) for t in tokens]
+        ints = [_ascii_int(t) for t in tokens]
     except ValueError:
         raise ValueError("non-integer token in clause data") from None
     clauses: list[tuple[int, int, int]] = []
@@ -189,6 +187,19 @@ class GadgetInstance:
     cnf: Cnf3
 
 
+def _expand(heads, families):
+    """A block template as block-local (role, member, target) vertices and pendant edges:
+    the (role, target) heads, then each family (role, head, size, plus) as
+    ``size`` members hung on its head, the first ``plus`` of them at +1."""
+    slots = [(role, None, t) for role, t in heads]
+    edges = []
+    for role, head, size, plus in families:
+        for j in range(1, size + 1):
+            edges.append((head, len(slots)))
+            slots.append((role, j, 1 if j <= plus else -1))
+    return slots, edges
+
+
 def build_gadget(cnf: Cnf3, k: int) -> GadgetInstance:
     """Construct the predecessor-existence instance for an exactly-two formula."""
     if cnf.semantics is not ClauseSemantics.EXACTLY_TWO:
@@ -200,79 +211,34 @@ def build_gadget(cnf: Cnf3, k: int) -> GadgetInstance:
     n_expected, m_expected = gadget_sizes(nvar, ncl, k)
     if n_expected > MAX_GADGET_VERTICES:
         raise ValueError(f"gadget would have {n_expected} vertices, above {MAX_GADGET_VERTICES}")
-    var_block = 6 * k - 6
-    cl_block = 2 * k - 1
-    n_u = 2 * k - 3  # pendants per literal vertex
-    n_w = k - 2      # pendants per anchor (empty when k = 2)
+    n_u, n_w = 2 * k - 3, k - 2
+    var_slots, var_edges = _expand(
+        ((Role.LITERAL_POS, 1), (Role.LITERAL_NEG, 1), (Role.Z, 1), (Role.ZP, -1)),
+        ((Role.U, 0, n_u, k - 1), (Role.P, 1, n_u, k - 1), (Role.W, 2, n_w, 0), (Role.WP, 3, n_w, n_w)),
+    )
+    var_edges += [(0, 2), (0, 3), (1, 2), (1, 3)]  # both literals meet both anchors
+    cl_slots, cl_edges = _expand(
+        ((Role.CLAUSE, 1), (Role.CLAUSEP, -1)), ((Role.B, 0, n_w, 0), (Role.BP, 1, k - 1, 0))
+    )
 
+    # One copy of the variable block per variable, then one clause block per clause.
     roles: list[RoleTag] = []
-    target: list[int] = []
-    edges: list[tuple[int, int]] = []
+    target, edges, start = [], [], 0
+    for slots, local, count in ((var_slots, var_edges, nvar), (cl_slots, cl_edges, ncl)):
+        roles.extend(RoleTag(role, i, j) for i in range(1, count + 1) for role, j, _ in slots)
+        target.append(np.tile(np.array([t for *_, t in slots], dtype=np.int8), count))
+        offsets = start + len(slots) * np.arange(count)
+        edges.append((offsets[:, None, None] + np.array(local)).reshape(-1, 2))
+        start += count * len(slots)
+    # Each clause block's two heads join the clause's three literal vertices.
+    lits = np.array(cnf.clauses, dtype=np.int64).reshape(-1, 3)
+    lit_vertex = (np.abs(lits) - 1) * len(var_slots) + (lits < 0)
+    clause_heads = nvar * len(var_slots) + len(cl_slots) * np.arange(ncl)[:, None] + [0, 1]
+    edges.append(np.stack([np.repeat(clause_heads, 3), np.tile(lit_vertex, 2).ravel()], axis=1))
 
-    def var_base(i: int) -> int:
-        return (i - 1) * var_block
-
-    def cl_base(j: int) -> int:
-        return nvar * var_block + (j - 1) * cl_block
-
-    def lit_vertex(lit: int) -> int:
-        base = var_base(abs(lit))
-        return base if lit > 0 else base + 1
-
-    for i in range(1, nvar + 1):
-        base = var_base(i)
-        x, nx, z, zp = base, base + 1, base + 2, base + 3
-        u0 = base + 4
-        p0 = u0 + n_u
-        w0 = p0 + n_u
-        wp0 = w0 + n_w
-        roles.append(RoleTag(Role.LITERAL_POS, i))
-        roles.append(RoleTag(Role.LITERAL_NEG, i))
-        roles.append(RoleTag(Role.Z, i))
-        roles.append(RoleTag(Role.ZP, i))
-        target.extend([1, 1, 1, -1])
-        edges.extend([(x, z), (x, zp), (nx, z), (nx, zp)])
-        for j in range(1, n_u + 1):
-            roles.append(RoleTag(Role.U, i, j))
-            target.append(1 if j <= k - 1 else -1)
-            edges.append((x, u0 + j - 1))
-        for j in range(1, n_u + 1):
-            roles.append(RoleTag(Role.P, i, j))
-            target.append(1 if j <= k - 1 else -1)
-            edges.append((nx, p0 + j - 1))
-        for j in range(1, n_w + 1):
-            roles.append(RoleTag(Role.W, i, j))
-            target.append(-1)
-            edges.append((z, w0 + j - 1))
-        for j in range(1, n_w + 1):
-            roles.append(RoleTag(Role.WP, i, j))
-            target.append(1)
-            edges.append((zp, wp0 + j - 1))
-
-    for j, clause in enumerate(cnf.clauses, start=1):
-        base = cl_base(j)
-        c, cp = base, base + 1
-        b0 = base + 2
-        bp0 = b0 + n_w
-        roles.append(RoleTag(Role.CLAUSE, j))
-        roles.append(RoleTag(Role.CLAUSEP, j))
-        target.extend([1, -1])
-        for l in range(1, n_w + 1):
-            roles.append(RoleTag(Role.B, j, l))
-            target.append(-1)
-            edges.append((c, b0 + l - 1))
-        for l in range(1, k):
-            roles.append(RoleTag(Role.BP, j, l))
-            target.append(-1)
-            edges.append((cp, bp0 + l - 1))
-        for lit in clause:
-            lv = lit_vertex(lit)
-            edges.append((c, lv))
-            edges.append((cp, lv))
-
-    graph = Graph(n_expected, edges)
+    graph = Graph(n_expected, np.concatenate(edges))
     assert len(roles) == n_expected and graph.m == m_expected
-    return GadgetInstance(graph, np.array(target, dtype=np.int8), k, tuple(roles), cnf)
+    return GadgetInstance(graph, np.concatenate(target), k, tuple(roles), cnf)
 
 
 def predecessor_from_assignment(inst: GadgetInstance, assignment) -> np.ndarray:
@@ -285,7 +251,6 @@ def predecessor_from_assignment(inst: GadgetInstance, assignment) -> np.ndarray:
     """
     if not satisfies_semantics(inst.cnf, assignment):
         raise ValueError("assignment does not satisfy the exactly-two formula")
-    k = inst.k
     prior = inst.target.copy()
     for vid, tag in enumerate(inst.roles):
         if tag.role is Role.LITERAL_POS:
@@ -301,8 +266,6 @@ def format_role_map(inst: GadgetInstance) -> str:
     """One line per vertex: 'v <id> <ROLE> <index> [j]' (1-based indices)."""
     lines = []
     for vid, tag in enumerate(inst.roles):
-        if tag.j is None:
-            lines.append(f"v {vid} {tag.role.value} {tag.index}")
-        else:
-            lines.append(f"v {vid} {tag.role.value} {tag.index} {tag.j}")
+        member = "" if tag.j is None else f" {tag.j}"
+        lines.append(f"v {vid} {tag.role.value} {tag.index}{member}")
     return "\n".join(lines) + "\n"

@@ -297,6 +297,46 @@ def test_reduce_rejects_oversized_gadgets(tmp_path, capsys):
     assert not list(tmp_path.glob("x.*"))
 
 
+def test_reduce_and_witness_bytes_are_pinned(tmp_path, capsys):
+    # SHA-256 over the reduce files (.graph, .config, .map) and the witness
+    # output, recorded from the hand-written gadget; at k = 2 the W, WP and
+    # B families are empty.  Any rewrite of build_gadget must keep these bytes.
+    import hashlib
+
+    formulas = {
+        "one-clause": ("p cnf 3 1\n1 -2 -3 0\n", "1 0 1\n"),
+        "no-clause": ("p cnf 2 0\n", "1 0\n"),
+        "no-variable": ("p cnf 0 0\n", ""),
+        "four-clause": ("p cnf 5 4\n1 2 3 0\n-3 4 5 0\n1 -2 -5 0\n2 -3 -4 0\n", "1 1 0 1 0\n"),
+    }
+    pinned = {
+        ("one-clause", 2): "d8e9c67aef9978cfae3a3694f38a789803643de4326fd1c29c9b00399500fc64",
+        ("one-clause", 3): "8d14e165440e9d2391b93581bc7c15dfa821ccae25b03f68b22bc7f460e6901c",
+        ("one-clause", 5): "b94a2a8cf1e7fb39e6b272e2bd487c878c5bb22c30135121918654acc509828b",
+        ("no-clause", 2): "60b4b1e649a6f4b249512457a8836e2578dff05f14d0a616794d46db45500331",
+        ("no-clause", 3): "88bee8a372212359926d1b62fe72bf164482c8005682b2b2dec2c6ed4f495206",
+        ("no-clause", 5): "ed7fe6f48a13b5ec71232efda56fd824fe2ba857b710a0739908efbc392bbf45",
+        ("no-variable", 2): "29939f086c301633c271bcf9f9d59a9cc388ce1368f431f568308e42b00cec37",
+        ("no-variable", 3): "29939f086c301633c271bcf9f9d59a9cc388ce1368f431f568308e42b00cec37",
+        ("no-variable", 5): "29939f086c301633c271bcf9f9d59a9cc388ce1368f431f568308e42b00cec37",
+        ("four-clause", 2): "91f5d8e876c7a76f9b9ff77810e9e5d13bbd759688434dc6ea8fcbc8a9a69ad2",
+        ("four-clause", 3): "18ac7062a3cd19d24bab7613c939c7ba4f7bbea148b54ed10d1fd79953a50c17",
+        ("four-clause", 5): "9a4b37d2e06df4ea858d9197b85a54e71b7016ba9758fd85c52866868ab358ee",
+    }
+    prefix = str(tmp_path / "g")
+    for (name, k), digest in pinned.items():
+        cnf_text, assignment_text = formulas[name]
+        cnf = write(tmp_path, "f.cnf", cnf_text)
+        assignment = write(tmp_path, "a.txt", assignment_text)
+        assert main(["reduce", "--cnf", cnf, "--k", str(k), "--out-prefix", prefix]) == 0
+        assert main(["witness", "--cnf", cnf, "--k", str(k), "--assignment", assignment]) == 0
+        h = hashlib.sha256()
+        for suffix in (".graph", ".config", ".map"):
+            h.update((tmp_path / ("g" + suffix)).read_bytes())
+        h.update(capsys.readouterr().out.encode())
+        assert h.hexdigest() == digest, (name, k)
+
+
 def test_witness_rejects_bad_assignment(tmp_path, capsys):
     cnf = write(tmp_path, "f.cnf", "p cnf 3 1\n1 -2 -3 0\n")
     assignment = write(tmp_path, "a.txt", "0 1 0\n")

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from kreversible import graphs
+from kreversible import k1
 from kreversible import (
     Graph,
     find_predecessor_k1,
@@ -107,7 +107,7 @@ def test_disconnected_components_decided_independently():
     assert w is not None and w.tolist() == [1, 1, -1]
 
 
-# k1 takes its list path at or below graphs._SMALL_N vertices and its numpy
+# k1 takes its list path at or below k1._LIST_N vertices and its numpy
 # path above it; each cutoff forces one path on any graph.
 _K1_PATHS = {"list": 10**9, "numpy": 0}
 
@@ -134,7 +134,7 @@ def test_small_and_large_paths_agree(monkeypatch):
         for y in targets:
             runs = []
             for cutoff in _K1_PATHS.values():
-                monkeypatch.setattr(graphs, "_SMALL_N", cutoff)
+                monkeypatch.setattr(k1, "_LIST_N", cutoff)
                 runs.append((same_state_partition(g, y), find_predecessor_k1(g, y)))
             (part, w), (part_np, w_np) = runs
             for field in dataclasses.fields(part):

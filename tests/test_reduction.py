@@ -53,6 +53,7 @@ def test_parse_dimacs_roundtrip():
         ("p cnf 3 2\n1 2 3 0\n", "expected 2 clauses"),
         ("p cnf 3 1\n1 2 3\n", "0-terminated"),
         ("p foo 3 1\n1 2 3 0\n", "problem line"),
+        ("p cnf 3 1\n1 -\u0662 3 0\n", "non-integer token"),  # int() reads -2
     ],
 )
 def test_parse_dimacs_errors(text, fragment):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kreversible as kr
-from kreversible import deg3, graphs, tree_decide
+from kreversible import deg3, k1, tree_decide
 from kreversible.generators import random_bounded_degree_graph, random_config, random_graph
 from kreversible.oracle import config_index
 from kreversible.route import ROUTES, route
@@ -122,7 +122,7 @@ def _bad_targets(n):
 # One instance per row of the table, and per solver path where a row has two.
 _EVERY_PATH = [
     (path_graph(3), 1, "pre1"),
-    (path_graph(graphs._SMALL_N + 1), 1, "pre1"),
+    (path_graph(k1._LIST_N + 1), 1, "pre1"),
     (path_graph(3), 2, "tree"),
     (path_graph(tree_decide._CONTRACT_N + 1), 2, "tree"),
     (cycle_graph(4), 2, "twosat"),
