@@ -1,22 +1,36 @@
 """Exhaustive ground truth for predecessor existence and counting.
 
-Deliberately independent of :mod:`kreversible.dynamics`: candidates are
-evaluated in bulk through dense adjacency-matrix arithmetic rather than the
-per-edge route used by ``step``, so the two implementations of the update
+Deliberately independent of :mod:`kreversible.dynamics`: the update rule is
+evaluated here bit-sliced over the adjacency lists rather than through the
+per-edge numpy route used by ``step``, so the two implementations of the
 rule can check each other.
 
 Candidate configurations are indexed 0 .. 2^n - 1 with vertex 0 as the most
 significant bit and bit value 1 meaning state +1; ascending index therefore
-equals lexicographic order with -1 < +1.  A block of candidates maps to its
-successor indices by XOR-ing each candidate's index with the packed flip
-mask, so membership tests cost one integer compare per candidate.
+equals lexicographic order with -1 < +1.
 
-Bulk math runs in floating point so it goes through BLAS; every quantity is
-a small integer (single states bounded by n, packed indices below 2^26),
-hence exact in float32 / float64 respectively.
+Candidates are scanned in blocks of 2^B, B = min(n, _BLOCK_BITS), and
+bit-sliced (Biham 1997): within the block starting at index lo, vertex v's
+state plane is a Python int whose bit i is the state of candidate lo + i.
+The low B vertices' planes are the same periodic patterns in every block; a
+higher vertex's plane is 0 or all ones.  A vertex with d >= k neighbours
+flips where at least k of them differ.  XOR-ing its plane with each
+neighbour's gives the differing bits, and k rounds of prefix ORs over those
+planes count them, each round cut to the d - k + 1 neighbour prefixes that
+can still reach k.  The successor plane is the state plane XOR "at least k
+differ".  The answers read those planes: a target's predecessors are the
+bits set in every successor plane where the target is +1 and in no other.
+
+A block costs O(m * min(k, max degree)) operations on 2^B-bit integers, so
+a scan costs O(2^n * m * min(k, max degree) / w) word operations for a
+machine word of w bits; every step is exact integer arithmetic.  Blocks of
+2^16 candidates keep each plane at 8 KiB, inside the processor's cache.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
+from operator import and_, or_
 
 import numpy as np
 
@@ -35,7 +49,7 @@ __all__ = [
 
 DEFAULT_LIMIT = 20
 _MAX_LIMIT = 26
-_BLOCK = 1 << 16
+_BLOCK_BITS = 16
 
 
 def _check_limit(g: Graph, limit: int) -> None:
@@ -61,39 +75,56 @@ def index_config(idx: int, n: int) -> np.ndarray:
     return (2 * np.array(bits, dtype=np.int8) - 1).astype(np.int8)
 
 
-def _scan(g: Graph, k: int):
-    """Yield (start, candidate block as float32 rows, successor index codes)."""
+def _blocks(g: Graph, k: int):
+    """Yield (lo, all-ones plane, successor plane of every vertex) per block."""
     n = g.n
-    adj = np.zeros((n, n), dtype=np.float32)
-    eu, ev = g.edge_arrays()
-    adj[eu, ev] = 1.0
-    adj[ev, eu] = 1.0
-    # flip rule: #differing = (deg - y*s)/2 >= k  <=>  y*s <= deg - 2k.
-    # No vertex has more than n - 1 neighbors, so any k above n flips
-    # nothing, as k = n + 1 does; the clamp keeps 2k a float.
-    thr = adj.sum(axis=1) - 2.0 * min(k, n + 1)
-    pow2 = 2.0 ** np.arange(n - 1, -1, -1) if n else np.zeros(0)
-    if n == 0:
-        yield 0, np.zeros((1, 0), dtype=np.float32), np.zeros(1, dtype=np.int64)
-        return
-    for lo in range(0, 1 << n, _BLOCK):
-        hi = min(lo + _BLOCK, 1 << n)
-        idx = np.arange(lo, hi, dtype="<u4")  # little-endian bytes on any host
-        raw = np.unpackbits(idx[:, None].view(np.uint8), axis=1, bitorder="little")
-        block = raw[:, n - 1::-1].astype(np.float32) * 2.0 - 1.0
-        flips = (block * (block @ adj)) <= thr
-        codes = flips @ pow2
-        yield lo, block, idx.astype(np.int64) ^ codes.astype(np.int64)
+    low = min(n, _BLOCK_BITS)
+    full = (1 << (1 << low)) - 1
+    # bit b of a candidate's offset in the block, for b = low - 1 .. 0: each
+    # plane is the one before XOR itself shifted down by 2^b
+    low_planes, plane = [], full
+    for b in reversed(range(low)):
+        plane ^= plane >> (1 << b)
+        low_planes.append(plane)
+    adj = g.adjacency()
+    for lo in range(0, 1 << n, 1 << low):
+        x = [full if lo >> (n - 1 - v) & 1 else 0 for v in range(n - low)] + low_planes
+        succ = []
+        for xv, nbrs in zip(x, adj):
+            if len(nbrs) >= k:
+                diffs = [xv ^ x[u] for u in nbrs]
+                # after round j, row[s]: at least j of the first j + s
+                # neighbours differ; s stops at d - k, the most that may agree
+                row = [full] * (len(nbrs) - k + 1)
+                for j in range(k):
+                    row = list(accumulate(map(and_, row, diffs[j:]), or_))
+                xv ^= row[-1]
+            succ.append(xv)
+        yield lo, full, succ
+
+
+def _matches(g: Graph, k: int, target):
+    """Yield (lo, plane of the block's candidates stepping to target) per block."""
+    want = (as_config(target, g.n) > 0).tolist()
+    for lo, full, succ in _blocks(g, k):
+        match = full
+        for s, w in zip(succ, want):
+            match &= s if w else s ^ full
+        yield lo, match
 
 
 def enumerate_predecessors(g: Graph, k: int, target, limit: int = DEFAULT_LIMIT) -> list[np.ndarray]:
     """All y' with one step from y' equal to target, in enumeration order."""
     k = check_k(k)
     _check_limit(g, limit)
-    want = config_index(as_config(target, g.n))
+    shifts = np.arange(g.n - 1, -1, -1)
     found: list[np.ndarray] = []
-    for _, block, codes in _scan(g, k):
-        found.extend(row.astype(np.int8) for row in block[codes == want])
+    for lo, match in _matches(g, k, target):
+        if not match:
+            continue
+        raw = np.frombuffer(match.to_bytes((match.bit_length() + 7) >> 3, "little"), np.uint8)
+        idx = lo + np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+        found.extend((2 * (idx[:, None] >> shifts & 1) - 1).astype(np.int8))
     return found
 
 
@@ -101,19 +132,16 @@ def count_predecessors_bruteforce(g: Graph, k: int, target, limit: int = DEFAULT
     """Cardinality of enumerate_predecessors, without materializing it."""
     k = check_k(k)
     _check_limit(g, limit)
-    want = config_index(as_config(target, g.n))
-    return sum(int(np.count_nonzero(codes == want)) for _, _, codes in _scan(g, k))
+    return sum(match.bit_count() for _, match in _matches(g, k, target))
 
 
 def find_predecessor_bruteforce(g: Graph, k: int, target, limit: int = DEFAULT_LIMIT) -> np.ndarray | None:
     """First predecessor in enumeration order, or None; stops early."""
     k = check_k(k)
     _check_limit(g, limit)
-    want = config_index(as_config(target, g.n))
-    for _, block, codes in _scan(g, k):
-        hits = codes == want
-        if hits.any():
-            return block[int(np.argmax(hits))].astype(np.int8)
+    for lo, match in _matches(g, k, target):
+        if match:
+            return index_config(lo + (match & -match).bit_length() - 1, g.n)
     return None
 
 
@@ -125,7 +153,13 @@ def successor_indices(g: Graph, k: int, limit: int = DEFAULT_LIMIT) -> np.ndarra
     """
     k = check_k(k)
     _check_limit(g, limit)
-    out = np.empty(1 << g.n, dtype=np.int64)
-    for lo, _, codes in _scan(g, k):
-        out[lo:lo + codes.shape[0]] = codes
+    n = g.n
+    place = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+    out = np.empty(1 << n, dtype=np.int64)
+    for lo, full, succ in _blocks(g, k):
+        size = full.bit_length()
+        width = (size + 7) >> 3
+        planes = np.frombuffer(b"".join(s.to_bytes(width, "little") for s in succ), np.uint8)
+        bits = np.unpackbits(planes.reshape(n, width), axis=1, bitorder="little", count=size)
+        out[lo:lo + size] = place @ bits
     return out

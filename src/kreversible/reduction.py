@@ -101,7 +101,8 @@ def parse_dimacs(text, semantics: ClauseSemantics = ClauseSemantics.EXACTLY_TWO)
             if header is not None:
                 raise ValueError("duplicate problem line")
             parts = stripped.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            # isdecimal() passes non-ASCII digits on to _ascii_int, which names them
+            if len(parts) != 4 or parts[1] != "cnf" or not all(t.isdecimal() for t in parts[2:]):
                 raise ValueError(f"bad problem line: {stripped!r}")
             header = (_ascii_int(parts[2]), _ascii_int(parts[3]))
             continue

@@ -54,6 +54,8 @@ def test_parse_dimacs_roundtrip():
         ("p cnf 3 1\n1 2 3\n", "0-terminated"),
         ("p foo 3 1\n1 2 3 0\n", "problem line"),
         ("p cnf 3 1\n1 -\u0662 3 0\n", "non-integer token"),  # int() reads -2
+        ("p cnf x 1\n1 2 3 0\n", "bad problem line: 'p cnf x 1'"),
+        ("p cnf 3 -1\n", "bad problem line: 'p cnf 3 -1'"),
     ],
 )
 def test_parse_dimacs_errors(text, fragment):
