@@ -160,10 +160,12 @@ class RootedTree:
 
     def children(self, v: int) -> list[int]:
         """Children of v in ascending id, read off ``parent_array`` in O(n)."""
+        if not 0 <= v < self.graph.n:  # -1 would match the root's missing parent
+            raise ValueError(f"vertex {v!r} is not in the tree")
         return np.flatnonzero(self.parent_array == v).tolist()
 
     def n_children(self, v: int) -> int:
-        return int(np.count_nonzero(self.parent_array == v))
+        return len(self.children(v))
 
     def child_slices(self) -> tuple[list[int], list[int]]:
         """``(cptr, bfs_order)``: the children of ``bfs_order[r]`` are

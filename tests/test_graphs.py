@@ -100,6 +100,16 @@ def test_root_tree_star():
     assert all(t.parent[v] == 0 for v in (1, 2, 3))
 
 
+@pytest.mark.parametrize("v", [-1, 3, 10**400])
+def test_children_refuse_ids_outside_the_tree(v):
+    # -1 is the root's parent in parent_array, so it must not read as an id
+    t = root_tree(path_graph(3), 1)
+    with pytest.raises(ValueError, match="not in the tree"):
+        t.children(v)
+    with pytest.raises(ValueError, match="not in the tree"):
+        t.n_children(v)
+
+
 def test_root_tree_rejects_non_trees():
     with pytest.raises(ValueError, match="not a tree"):
         root_tree(cycle_graph(3), 0)

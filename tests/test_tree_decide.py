@@ -66,6 +66,15 @@ def test_entry_access_rules():
     table = compute_forced_states(t, 2, [1, 1, 1])
     with pytest.raises(ValueError, match="root"):
         table.entry(1, None)
+    # the root has no parent state, so it has no entry under one
+    for state in (-1, 1):
+        with pytest.raises(ValueError, match="root"):
+            table.entry(0, state)
+    # ids outside the tree, -1 included, are refused rather than wrapped
+    for v in (-1, 3):
+        for state in (None, -1, 1):
+            with pytest.raises(ValueError, match="not in the tree"):
+                table.entry(v, state)
 
 
 def test_decide_examples():
@@ -107,12 +116,21 @@ def test_oracle_equivalence_random_trees():
 
 
 def test_visit_bound_small_exhaustive():
+    # The SHA-256 covers the root entry, both entries of every other vertex
+    # and the visit counts, recorded from the trial loop that counted visits
+    # as it read entries; the derived counts must reproduce it bit for bit.
+    import hashlib
+
+    digest = hashlib.sha256()
     for g in all_labeled_trees(6):
         t = root_tree(g, 0)
         for k in (1, 2, 3):
             for y in all_configs(6)[::7]:
                 table = compute_forced_states(t, k, y)
                 assert max(table.visits) <= 2
+                rows = [table.root_entry] + [table.entry(v, c) for v in range(1, 6) for c in (-1, 1)]
+                digest.update(np.array(rows + table.visits, dtype=np.int8).tobytes())
+    assert digest.hexdigest() == "6019772b46dd4e361d6105d5b4e21a4e7c26f9ee004bce3b4692149bc2d15124"
 
 
 def test_decision_independent_of_root():
@@ -200,18 +218,27 @@ def _cases_large():
             yield t, k, step(g, k, random_config(g.n, seed=500 + i))
 
 
+def _table_rows(table):
+    """Root entry, both entries of every other vertex, and the visit counts."""
+    t = table.tree
+    entries = [table.entry(v, c) for v in range(t.graph.n) if v != t.root for c in (-1, 1)]
+    return table.root_entry, entries, table.visits
+
+
 @pytest.mark.parametrize("cases", [_cases_small, _cases_large], ids=["all-trees-n<=5", "n=2000"])
 def test_contraction_matches_scalar_pass(monkeypatch, cases):
     cases = list(cases())
-    runs = []
+    runs, tables = [], []
     for cutoff in (10**9, -1):  # the scalar pass everywhere, then the contraction everywhere
         monkeypatch.setattr(tree_decide, "_CONTRACT_N", cutoff)
         runs.append([find_predecessor_tree(t, k, y) for t, k, y in cases])
+        tables.append([_table_rows(compute_forced_states(t, k, y)) for t, k, y in cases])
     for (t, k, y), a, b in zip(cases, *runs):
         assert (a is None) == (b is None)
         if b is not None:
             assert b.dtype == np.int8 and np.array_equal(a, b)
             assert is_predecessor(t.graph, k, b, y)
+    assert tables[0] == tables[1]
 
 
 @pytest.mark.parametrize("cutoff", [10**9, -1], ids=["scalar", "contraction"])
