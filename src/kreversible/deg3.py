@@ -107,14 +107,15 @@ def _implication_lists(g: Graph, y: np.ndarray) -> tuple[list[int], list[int]]:
 def _implication_arrays(g: Graph, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Implication arcs as int64 arrays: one gather per degree class."""
     deg = g.degrees()
+    indptr, indices = g._csr()
     neg = (y < 0).astype(np.int64)
     src: list[np.ndarray] = []
     dst: list[np.ndarray] = []
     for d, arcs in enumerate(_ARCS_BY_DEGREE):
         verts = np.flatnonzero(deg == d)
         off = neg[verts]
-        first = g._indptr[verts]
-        nodes = [2 * verts + off] + [2 * g._indices[first + j] + off for j in range(d)]
+        first = indptr[verts]
+        nodes = [2 * verts + off] + [2 * indices[first + j] + off for j in range(d)]
         for i, j in arcs:
             src.append(nodes[i] ^ 1)
             dst.append(nodes[j])

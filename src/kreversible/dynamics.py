@@ -24,16 +24,24 @@ def check_k(k: int) -> int:
     return int(k)
 
 
+def _advance(y: np.ndarray, eu: np.ndarray, ev: np.ndarray, n: int, k: int) -> np.ndarray:
+    """One synchronous update of validated int8 states y on the n-vertex
+    graph with edges (eu, ev), for k at most n; a fresh int8 array.
+
+    The counts of differing neighbours are float64, exact up to any n; k is
+    clamped by the caller because a Python int past 2**1023 cannot convert
+    to float, and no count reaches n anyway.
+    """
+    differs = y[eu] != y[ev]
+    count = np.bincount(eu, differs, n) + np.bincount(ev, differs, n)
+    return np.where(count >= k, -y, y)
+
+
 def step(g: Graph, k: int, y) -> np.ndarray:
     """One synchronous update; returns a fresh configuration."""
     k = check_k(k)
     y = as_config(y, g.n)
-    eu, ev = g.edge_arrays()
-    su, sv = y[eu], y[ev]
-    differs = su != sv
-    du, dv = eu[differs], ev[differs]
-    diff_count = np.bincount(du, minlength=g.n) + np.bincount(dv, minlength=g.n)
-    return np.where(diff_count >= k, -y, y).astype(np.int8)
+    return _advance(y, *g.edge_arrays(), g.n, min(k, g.n))
 
 
 def simulate(g: Graph, k: int, y, t: int) -> np.ndarray:
@@ -44,13 +52,14 @@ def simulate(g: Graph, k: int, y, t: int) -> np.ndarray:
     left picks the answer.  Any t, however large, costs at most the
     transient plus two steps.
     """
-    check_k(k)
+    k = min(check_k(k), g.n)
     if int(t) != t or t < 0:
         raise ValueError(f"step count must be nonnegative, got {t!r}")
     t = int(t)
+    eu, ev = g.edge_arrays()
     older, y = None, as_config(y, g.n)
     for done in range(1, t + 1):
-        nxt = step(g, k, y)
+        nxt = _advance(y, eu, ev, g.n, k)
         if older is not None and np.array_equal(nxt, older):
             return nxt if (t - done) % 2 == 0 else y
         older, y = y, nxt

@@ -36,10 +36,12 @@ _MAX_CODED_N = 3_037_000_499  # math.isqrt(_INT64_MAX)
 class Graph:
     """Simple undirected graph: no loops, no parallel edges.
 
-    One sort of the 2m arc codes ``u*n+v`` and ``v*n+u`` builds everything:
-    the sorted arcs are the CSR adjacency, with ascending neighbor lists,
-    and their forward arcs (u < v) are the canonical edges in sorted order.
-    So iteration order is deterministic everywhere.
+    One sort of the m canonical codes ``min(u,v)*n + max(u,v)`` builds the
+    graph: the sorted codes are the canonical edges (u < v) in sorted order,
+    so iteration order is deterministic everywhere.  The rest is derived on
+    first use: ``degrees`` from two bincounts, ``adjacency`` from the sorted
+    edges, and the CSR arrays, which only the compiled consumers read, from
+    one sort of the 2m arc codes.
     """
 
     __slots__ = ("n", "m", "_eu", "_ev", "_indptr", "_indices", "_adj", "_degs")
@@ -78,23 +80,17 @@ class Graph:
         loops = u == v
         if loops.any():
             raise ValueError(f"loop at vertex {int(u[np.argmax(loops)])}")
-        arcs = np.sort(np.concatenate([u * n + v, v * n + u]))
-        repeats = arcs[1:] == arcs[:-1]
+        codes = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+        repeats = codes[1:] == codes[:-1]
         if repeats.any():
-            # The first repeated arc is the smallest duplicated pair, u < v.
-            u, v = divmod(int(arcs[np.argmax(repeats)]), n)
+            # The first repeated code is the smallest duplicated pair, u < v.
+            u, v = divmod(int(codes[np.argmax(repeats)]), n)
             raise ValueError(f"duplicate edge {u} {v}")
-        src, self._indices = np.divmod(arcs, n)
-        fwd = src < self._indices
         self.n = int(n)
         self.m = int(e.shape[0])
-        self._eu = src[fwd]
-        self._ev = self._indices[fwd]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        self._indptr = indptr
-        self._adj = None
-        self._degs = None
+        self._eu = codes // n  # empty when n is 0
+        self._ev = codes - self._eu * n
+        self._indptr = self._indices = self._adj = self._degs = None
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -105,23 +101,50 @@ class Graph:
         """Canonical edge endpoints as parallel numpy arrays (u < v)."""
         return self._eu, self._ev
 
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)``, the ascending neighbours of v being
+        ``indices[indptr[v]:indptr[v + 1]]``; built on first use from one
+        sort of the 2m arc codes ``u*n+v`` and ``v*n+u`` (cached)."""
+        if self._indptr is None:
+            n, eu, ev = self.n, self._eu, self._ev
+            arcs = np.sort(np.concatenate([eu * n + ev, ev * n + eu]))
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(self.degrees(), out=indptr[1:])
+            self._indices = arcs - arcs // n * n
+            self._indptr = indptr
+        return self._indptr, self._indices
+
+    def _check_vertex(self, v: int) -> None:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v!r} is not in the graph")
+
     def neighbors(self, v: int) -> list[int]:
-        return self._indices[self._indptr[v]:self._indptr[v + 1]].tolist()
+        """Neighbours of v in ascending id."""
+        self._check_vertex(v)
+        return list(self.adjacency()[v])  # a copy: the cached list stays intact
 
     def adjacency(self) -> list[list[int]]:
-        """Full adjacency as lists of ascending neighbor ids (cached)."""
+        """Full adjacency as lists of ascending neighbor ids (cached).
+
+        The sorted edges reach each vertex's lower neighbours, in ascending
+        order, before its higher ones, so appending keeps every list sorted.
+        """
         if self._adj is None:
-            flat = self._indices.tolist()
-            ptr = self._indptr.tolist()
-            self._adj = [flat[ptr[v]:ptr[v + 1]] for v in range(self.n)]
+            adj: list[list[int]] = [[] for _ in range(self.n)]
+            for u, v in zip(self._eu.tolist(), self._ev.tolist()):
+                adj[u].append(v)
+                adj[v].append(u)
+            self._adj = adj
         return self._adj
 
     def degree(self, v: int) -> int:
-        return int(self._indptr[v + 1] - self._indptr[v])
+        self._check_vertex(v)
+        return int(self.degrees()[v])
 
     def degrees(self) -> np.ndarray:
         if self._degs is None:
-            self._degs = np.diff(self._indptr)
+            n = self.n
+            self._degs = np.bincount(self._eu, minlength=n) + np.bincount(self._ev, minlength=n)
         return self._degs
 
     def __eq__(self, other) -> bool:
@@ -207,20 +230,22 @@ def _parse_graph_canonical(text) -> Graph | None:
     a = _ascii_bytes(text)
     if a is None:
         return None
-    digit = (a - np.uint8(48)) < 10
-    nl = a == 10
-    if np.count_nonzero(digit | nl | (a == 32) | (a == 9)) != a.size:
+    # Every check runs over the separators, the non-digit bytes.
+    sep = np.flatnonzero((a - np.uint8(48)) > 9)
+    s = a[sep]
+    nl = s == 10
+    if np.count_nonzero(nl | (s == 32) | (s == 9)) != sep.size:
         return None
-    # Token boundaries alternate: start, end, start, end, ...
-    bounds = np.flatnonzero(np.diff(digit, prepend=False, append=False))
-    starts, ends = bounds[0::2], bounds[1::2]
-    if starts.size < 2 or starts.size % 2 or int((ends - starts).max()) > _MAX_FAST_DIGITS:
+    # Digits before each separator and before the end: a token ends wherever
+    # that run is not empty.
+    width = np.diff(sep, prepend=-1, append=a.size) - 1
+    ntok = np.cumsum(width > 0)
+    if ntok[-1] < 2 or ntok[-1] % 2 or int(width.max()) > _MAX_FAST_DIGITS:
         return None
     # Tokens 2i and 2i+1 must share a line and tokens 2i+1 and 2i+2 must
-    # not: so the token counts before the newlines, with 0 ahead of them and
+    # not: so the token counts up to the newlines, with 0 ahead of them and
     # the token count behind, step by 0 or 2 only.
-    before = np.searchsorted(starts, np.flatnonzero(nl))
-    step = np.diff(before, prepend=0, append=starts.size)
+    step = np.diff(ntok[:-1][nl], prepend=0, append=ntok[-1])
     if ((step != 0) & (step != 2)).any():
         return None
     tok = np.fromstring(a, dtype=np.int64, sep=" ")
@@ -358,7 +383,7 @@ def parse_config(text, n: int) -> np.ndarray:
 
 def format_config(y) -> str:
     """Canonical serialization: +1/-1 tokens, space separated."""
-    y = np.asarray(y)
+    y = as_config(y, len(y))
     if y.size == 0:
         return "\n"
     out = np.empty((y.size, 3), dtype=np.uint8)
@@ -414,11 +439,10 @@ def _bfs_from(g: Graph, root: int) -> tuple[np.ndarray, np.ndarray]:
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import breadth_first_order
 
-        # The CSR already holds both arcs of every edge, so directed=True
-        # searches the undirected graph without building a transpose.
-        adj = csr_matrix(
-            (np.ones(g._indices.size, dtype=np.int8), g._indices, g._indptr), shape=(n, n)
-        )
+        # The CSR holds both arcs of every edge, so directed=True searches
+        # the undirected graph without building a transpose.
+        indptr, indices = g._csr()
+        adj = csr_matrix((np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(n, n))
         order, pred = breadth_first_order(adj, root, directed=True, return_predecessors=True)
         parent = pred.astype(np.int64)
         parent[parent < 0] = -1

@@ -9,8 +9,8 @@ of an unlocked region has a neighbor in another unlocked region; flipping
 all unlocked regions then yields a witness.
 
 Graphs of at most ``_LIST_N`` vertices run through plain Python traversal;
-larger ones through vectorized labeling, whose flipped candidate one
-``dynamics.step`` checks.  Both paths produce identical partitions and
+larger ones through vectorized labeling, whose flipped candidate one step
+of the update rule checks.  Both paths produce identical partitions and
 witnesses; ``tests/test_k1.py::test_small_and_large_paths_agree`` runs both.
 """
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import step
+from .dynamics import _advance
 from .graphs import Graph, as_config, component_labels
 
 __all__ = ["SameStatePartition", "same_state_partition", "find_predecessor_k1"]
@@ -79,9 +79,8 @@ def _partition_large(g: Graph, y: np.ndarray):
     eu, ev = g.edge_arrays()
     same = y[eu] == y[ev]
     labels = component_labels(g.n, eu[same], ev[same])
-    diff_u, diff_v = eu[~same], ev[~same]
-    diff_count = np.bincount(diff_u, minlength=g.n) + np.bincount(diff_v, minlength=g.n)
-    vertex_locked = diff_count == 0
+    # under k = 1 a vertex keeps its state iff no neighbour differs from it
+    vertex_locked = _advance(y, eu, ev, g.n, 1) == y
     ncomp = int(labels.max()) + 1 if g.n else 0
     component_state = np.zeros(ncomp, dtype=np.int8)
     component_state[labels] = y
@@ -125,7 +124,7 @@ def _find_large(g: Graph, y: np.ndarray) -> np.ndarray | None:
     # A predecessor exists iff the one that flips every unlocked region is one.
     labels, _, locked, _ = _partition_large(g, y)
     w = np.where(locked[labels], y, -y)
-    return w if np.array_equal(step(g, 1, w), y) else None
+    return w if np.array_equal(_advance(w, *g.edge_arrays(), g.n, 1), y) else None
 
 
 def find_predecessor_k1(g: Graph, y) -> np.ndarray | None:

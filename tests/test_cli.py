@@ -21,7 +21,7 @@ from kreversible import (
     write_graph,
 )
 from kreversible.cli import choose_method, main
-from kreversible.generators import random_config, random_regular_graph
+from kreversible.generators import random_config, random_regular_graph, random_tree
 from helpers import complete_graph, cycle_graph, path_graph
 
 P3 = "3 2\n0 1\n1 2\n"
@@ -192,6 +192,36 @@ def test_count_routes_with_one_tree_check(tmp_path, capsys, monkeypatch):
     assert "method tree requires a tree graph" in capsys.readouterr().err
     assert main(["count", "--graph", tri, "--config", y, "--k", "2", "--oracle-limit", "2"]) == 2
     assert "counting is available" in capsys.readouterr().err
+
+
+def test_csr_is_built_only_for_compiled_consumers(tmp_path, capsys, monkeypatch):
+    # k=1 requests, step and gen graph never read the CSR, even above every
+    # size cutoff; scipy's BFS (a tree above graphs._SMALL_N) and the array
+    # 2SAT builder (above deg3._TARJAN_N) build it once
+    builds = []
+    csr = Graph._csr
+
+    def counting_csr(g):
+        if g._indptr is None:
+            builds.append(g.n)
+        return csr(g)
+
+    monkeypatch.setattr(Graph, "_csr", counting_csr)
+    gpath = str(tmp_path / "g")
+    assert main(["gen", "graph", "--n", "3000", "--m", "6000", "--seed", "1", "--out", gpath]) == 0
+    y = write(tmp_path, "y", format_config(random_config(3000, 2)))
+    assert main(["pre", "--graph", gpath, "--config", y, "--k", "1"]) in (0, 1)
+    assert main(["step", "--graph", gpath, "--config", y, "--k", "1", "--steps", "20"]) == 0
+    assert builds == []
+    tree = write(tmp_path, "t", write_graph(random_tree(600, 3)))
+    y = write(tmp_path, "yt", format_config(random_config(600, 4)))
+    assert main(["pre", "--graph", tree, "--config", y, "--k", "2"]) in (0, 1)
+    assert builds == [600]
+    cubic = write(tmp_path, "c", write_graph(random_regular_graph(100, 3, 5)))
+    y = write(tmp_path, "yc", format_config(random_config(100, 6)))
+    assert main(["pre", "--graph", cubic, "--config", y, "--k", "2"]) in (0, 1)
+    assert builds == [600, 100]
+    capsys.readouterr()
 
 
 def test_forest_above_max_degree_is_its_own_predecessor(tmp_path, capsys):

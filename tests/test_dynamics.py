@@ -168,3 +168,30 @@ def test_step_locality():
             for u in range(6):
                 if u not in affected:
                     assert out[u] == base[u]
+
+
+def _int_step(g, k, y):
+    """Reference: the update rule over adjacency lists with Python int counts."""
+    adj = g.adjacency()
+    return [-s if sum(y[u] != s for u in adj[v]) >= k else s for v, s in enumerate(y)]
+
+
+@pytest.mark.parametrize("g", [Graph(0), Graph(1), random_graph(7, 12, seed=3),
+                               random_graph(600, 2400, seed=4)], ids=lambda g: f"n{g.n}")
+def test_step_takes_any_k_past_n(g):
+    # the weighted counts are float64: a k past 2**1023 must not reach them
+    n = g.n
+    rng = np.random.default_rng(n)
+    y = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
+    for k in (n - 1, n, n + 1, 2**63, 10**400):
+        if k < 1:
+            continue
+        ref = [y.tolist()]
+        for _ in range(3):
+            ref.append(_int_step(g, k, ref[-1]))
+        out = step(g, k, y)
+        assert out.dtype == np.int8 and out is not y and not np.shares_memory(out, y)
+        assert out.tolist() == ref[1], k
+        assert simulate(g, k, y, 3).tolist() == ref[3], k
+        assert is_predecessor(g, k, y, ref[1])
+        assert is_predecessor(g, k, ref[1], ref[2])

@@ -82,6 +82,13 @@ def test_parse_config_tokens():
         parse_config("+1 0 -1", 3)
 
 
+@pytest.mark.parametrize("y", [[0, 2, 1], [1, -2], np.array([255], dtype=np.uint8), [1.5]])
+def test_format_config_refuses_non_states(y):
+    # any value but -1 and +1 is refused, not printed as the sign it has
+    with pytest.raises(ValueError, match="states must be -1 or \\+1"):
+        format_config(y)
+
+
 def test_config_roundtrip():
     y = parse_config("+ - - +", 4)
     assert format_config(y) == "+1 -1 -1 +1\n"
@@ -108,6 +115,22 @@ def test_children_refuse_ids_outside_the_tree(v):
         t.children(v)
     with pytest.raises(ValueError, match="not in the tree"):
         t.n_children(v)
+
+
+@pytest.mark.parametrize("v", [-1, 4, 10**400])
+def test_graph_accessors_refuse_ids_outside_the_graph(v):
+    # -1 must not read as the last vertex, nor n as one past it
+    g = path_graph(4)
+    with pytest.raises(ValueError, match="not in the graph"):
+        g.degree(v)
+    with pytest.raises(ValueError, match="not in the graph"):
+        g.neighbors(v)
+
+
+def test_neighbors_is_a_copy():
+    g = path_graph(3)
+    g.neighbors(1).append(7)
+    assert g.neighbors(1) == [0, 2] and g.adjacency()[1] == [0, 2]
 
 
 def test_root_tree_rejects_non_trees():
@@ -416,6 +439,23 @@ def test_graph_matches_python_reference(case):
     assert write_graph(g) == _write_graph_lines(g)
 
 
+@settings(max_examples=200, deadline=None)
+@given(edge_lists())
+@example(case=(0, []))
+@example(case=(3, []))
+def test_csr_matches_python_reference(case):
+    # the CSR is built on first use; it lists each vertex's ascending neighbours
+    n, edges = case
+    expected = _reference_graph(n, edges)
+    if isinstance(expected, str):
+        return
+    _, adj = expected
+    indptr, indices = Graph(n, edges)._csr()
+    assert indptr.dtype == indices.dtype == np.int64
+    assert indptr.tolist() == np.cumsum([0] + [len(nbrs) for nbrs in adj]).tolist()
+    assert indices.tolist() == [u for nbrs in adj for u in nbrs]
+
+
 # Ids on both sides of every digit boundary up to 7 digits.
 _BOUNDARY_IDS = sorted({0} | {x for p in range(1, 7) for x in (10**p - 1, 10**p)})
 
@@ -455,9 +495,26 @@ def test_decimal_bytes_reaches_ten_digits():
     assert graphs._decimal_bytes(np.empty(0, dtype=np.uint32), np.uint8(10)).size == 0
 
 
-@pytest.mark.parametrize("text", ["1 0", "1 0\n", "\n5 0", "3 1\n0 2", b"3 1\n\n0 2\n\n"])
+@pytest.mark.parametrize("text", [
+    "1 0", "1 0\n", "\n5 0", "3 1\n0 2", b"3 1\n\n0 2\n\n",
+    "3 2\n0\t1\n1 \t 2\n",  # tabs
+    "3   2\n  0  1\n1    2   \n",  # runs of spaces
+    "\n\n3 2\n\n0 1\n\n\n1 2\n\n",  # blank lines
+])
 def test_short_canonical_files_take_the_fast_path(text):
     assert _parse_graph_canonical(text) == _parse_graph_lines(text)
+
+
+@pytest.mark.parametrize("text", [
+    "3\n2\n0 1\n1 2\n",  # a 1-token header
+    "3 2\n0\n1 1 2\n",  # a 1-token line, then a 3-token one
+    "3 2 0\n1 1 2\n",  # 3 tokens a line
+    "3 1\n0 1 2\n",  # a 3-token edge line, odd token count
+])
+def test_canonical_fast_path_declines_odd_lines(text):
+    assert _parse_graph_canonical(text) is None
+    with pytest.raises(ValueError):
+        _parse_graph_lines(text)
 
 
 def _outcome(parse, *args):
