@@ -7,6 +7,7 @@ Answers go to stdout, diagnostics to stderr.  Exit codes: 0 success (YES),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import generators, oracle
@@ -147,6 +148,7 @@ def _cmd_gen(args) -> int:
     return EXIT_YES
 
 
+@functools.cache  # once per process: parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="kreversible",

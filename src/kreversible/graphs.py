@@ -162,22 +162,29 @@ class Graph:
 
 
 class RootedTree:
-    """Breadth-first orientation of a tree.
+    """Breadth-first orientation of a tree, held as two int64 arrays.
 
-    ``parent[root]`` is None; ``parent_array`` holds the same parents as
-    int64, with -1 at the root.  ``bfs_order`` visits parents before
-    children, and it is the only child structure: the children of the
-    vertex at BFS rank r are ``bfs_order[cptr[r]:cptr[r + 1]]``, in
-    ascending vertex id, with ``cptr`` from :meth:`child_slices`.
+    ``parent_array`` holds each vertex's parent, -1 at the root, and
+    ``order_array`` the BFS visit order, parents before children.  That
+    order is the only child structure: the children of the vertex at BFS
+    rank r are ``order[cptr[r]:cptr[r + 1]]``, in ascending vertex id.
+
+    The scalar engines read Python lists: ``parent`` (None at the root),
+    ``bfs_order`` and :meth:`child_slices`' ``(cptr, bfs_order)``.  A tree
+    rooted by the list BFS holds the three lists that search built; one
+    rooted by scipy's BFS builds each on its first read and caches it (see
+    ``_LazyRootedTree``), so the contraction, which reads only
+    ``parent_array``, builds none.
     """
 
-    __slots__ = ("graph", "root", "parent", "parent_array", "bfs_order", "_cptr")
+    __slots__ = ("graph", "root", "parent_array", "order_array", "parent", "bfs_order", "_cptr")
 
-    def __init__(self, graph: Graph, root: int, parent, parent_array, bfs_order, cptr):
+    def __init__(self, graph: Graph, root: int, parent_array, order_array, parent, bfs_order, cptr):
         self.graph = graph
         self.root = root
-        self.parent = parent
         self.parent_array = parent_array
+        self.order_array = order_array
+        self.parent = parent
         self.bfs_order = bfs_order
         self._cptr = cptr
 
@@ -197,6 +204,43 @@ class RootedTree:
 
     def __repr__(self) -> str:
         return f"RootedTree(n={self.graph.n}, root={self.root})"
+
+
+class _LazyRootedTree(RootedTree):
+    """A RootedTree that starts from the arrays alone and builds each list
+    view on its first read.  It is a subclass because a class with
+    ``__getattr__`` reads every attribute, a filled slot too, slower (about
+    27 ns a read under CPython 3.11 on a 2-core x86 VM), which the scalar
+    engines would pay on every call on tiny trees."""
+
+    __slots__ = ()
+
+    def __init__(self, graph: Graph, root: int, parent_array, order_array):
+        self.graph = graph
+        self.root = root
+        self.parent_array = parent_array
+        self.order_array = order_array
+
+    def __getattr__(self, name):
+        # Reached only while a slot is unset: a built view reads as a slot.
+        if name == "parent":
+            view = self.parent_array.tolist()
+            view[self.root] = None
+        elif name == "bfs_order":
+            view = self.order_array.tolist()
+        elif name == "_cptr":
+            # A FIFO BFS over ascending neighbour lists appends each vertex's
+            # children as one run, in ascending id, right after the run of
+            # the vertex before it.
+            order = self.order_array
+            n = order.size
+            cptr = np.ones(n + 1, dtype=np.int64)
+            cptr[1:] += np.cumsum(np.bincount(self.parent_array[order[1:]], minlength=n)[order])
+            view = cptr.tolist()
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        setattr(self, name, view)
+        return view
 
 
 def _decode(text) -> str:
@@ -219,17 +263,10 @@ def _ascii_bytes(text) -> np.ndarray | None:
 _MAX_FAST_DIGITS = 18
 
 
-def _parse_graph_canonical(text) -> Graph | None:
-    """Vectorised parse of a graph file in canonical shape, else None.
-
-    Canonical means: only ASCII digits, spaces, tabs and newlines; every
-    non-blank line holds exactly two tokens of at most 18 digits; and the
-    body has exactly m lines.  Such a file reads the same under
-    :func:`_parse_graph_lines`, which handles every other input.
-    """
-    a = _ascii_bytes(text)
-    if a is None:
-        return None
+def _canonical_token_count(a: np.ndarray) -> int | None:
+    """Token count of a graph file's bytes if its layout is canonical, else
+    None.  The scan's index arrays die with this call, before the decode
+    and the Graph allocate theirs."""
     # Every check runs over the separators, the non-digit bytes.
     sep = np.flatnonzero((a - np.uint8(48)) > 9)
     s = a[sep]
@@ -248,7 +285,23 @@ def _parse_graph_canonical(text) -> Graph | None:
     step = np.diff(ntok[:-1][nl], prepend=0, append=ntok[-1])
     if ((step != 0) & (step != 2)).any():
         return None
-    tok = np.fromstring(a, dtype=np.int64, sep=" ")
+    return int(ntok[-1])
+
+
+def _parse_graph_canonical(text) -> Graph | None:
+    """Vectorised parse of a graph file in canonical shape, else None.
+
+    Canonical means: only ASCII digits, spaces, tabs and newlines; every
+    non-blank line holds exactly two tokens of at most 18 digits; and the
+    body has exactly m lines.  Such a file reads the same under
+    :func:`_parse_graph_lines`, which handles every other input.
+    """
+    a = _ascii_bytes(text)
+    count = None if a is None else _canonical_token_count(a)
+    if count is None:
+        return None
+    # the count lets numpy allocate the tokens once
+    tok = np.fromstring(a, dtype=np.int64, count=count, sep=" ")
     n, m = int(tok[0]), int(tok[1])
     if tok.size != 2 * m + 2:
         return None
@@ -429,36 +482,42 @@ def config_list(y, n: int) -> list[int]:
 _SMALL_N = 512
 
 
-def _bfs_from(g: Graph, root: int) -> tuple[np.ndarray, np.ndarray]:
-    """BFS in time independent of depth: (int64 parents, -1 for root and
-    unreached vertices; int64 visit order of the vertices reached).  Both
-    paths scan each vertex's neighbours in CSR (ascending) order, so they
-    return the same order."""
+def _bfs_from(g: Graph, root: int):
+    """BFS in time independent of depth: (parents, -1 for root and
+    unreached vertices; visit order of the vertices reached; cptr).  Above
+    _SMALL_N the first two are int64 arrays from scipy and cptr is None; at
+    or below it all three are Python lists, cptr[r + 1] being the length of
+    the order once rank r's neighbours are scanned.  Both paths scan each
+    vertex's neighbours in CSR (ascending) order, so they return the same
+    order."""
     n = g.n
     if n > _SMALL_N:
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import breadth_first_order
 
         # The CSR holds both arcs of every edge, so directed=True searches
-        # the undirected graph without building a transpose.
+        # the undirected graph without building a transpose.  float64 is
+        # csgraph's working dtype: other data would be copied to it.
         indptr, indices = g._csr()
-        adj = csr_matrix((np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(n, n))
+        adj = csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
         order, pred = breadth_first_order(adj, root, directed=True, return_predecessors=True)
         parent = pred.astype(np.int64)
         parent[parent < 0] = -1
-        return parent, order.astype(np.int64)
+        return parent, order.astype(np.int64), None
     adj = g.adjacency()
     parent = [-1] * n
     seen = [False] * n
     seen[root] = True
     order = [root]
+    cptr = [1]
     for v in order:  # order grows while it is scanned: a FIFO queue
         for u in adj[v]:
             if not seen[u]:
                 seen[u] = True
                 parent[u] = v
                 order.append(u)
-    return np.array(parent, dtype=np.int64), np.array(order, dtype=np.int64)
+        cptr.append(len(order))
+    return parent, order, cptr
 
 
 def root_tree(g: Graph, root: int) -> RootedTree:
@@ -468,24 +527,22 @@ def root_tree(g: Graph, root: int) -> RootedTree:
         raise ValueError(f"root {root} out of range")
     if g.m != n - 1:
         raise ValueError(f"not a tree: m={g.m}, expected {n - 1}")
-    parent_arr, order = _bfs_from(g, root)
-    if order.size != n:
+    parent, order, cptr = _bfs_from(g, root)
+    if len(order) != n:
         raise ValueError("not a tree: graph is disconnected")
-    # A FIFO BFS over ascending neighbour lists appends each vertex's children
-    # as one run, in ascending id, right after the run of the vertex before it.
-    cptr = np.ones(n + 1, dtype=np.int64)
-    cptr[1:] += np.cumsum(np.bincount(parent_arr[order[1:]], minlength=n)[order])
-    parent = parent_arr.tolist()
+    if cptr is None:
+        return _LazyRootedTree(g, root, parent, order)
+    # the list BFS's own lists are the views
+    parent_arr = np.array(parent, dtype=np.int64)
     parent[root] = None
-    return RootedTree(g, root, parent, parent_arr, order.tolist(), cptr.tolist())
+    return RootedTree(g, root, parent_arr, np.array(order, dtype=np.int64), parent, order, cptr)
 
 
 def is_tree(g: Graph) -> bool:
     """True iff g is connected with exactly n-1 edges."""
     if g.n == 0 or g.m != g.n - 1:
         return False
-    _, order = _bfs_from(g, 0)
-    return order.size == g.n
+    return len(_bfs_from(g, 0)[1]) == g.n
 
 
 def max_degree(g: Graph) -> int:
@@ -507,6 +564,11 @@ def component_labels(n: int, u, v) -> np.ndarray:
 
     mat = coo_matrix((np.ones(u.size, dtype=np.int8), (u, v)), shape=(n, n))
     _, labels = _cc(mat, directed=False)
+    return _canonical_labels(labels)
+
+
+def _canonical_labels(labels: np.ndarray) -> np.ndarray:
+    """int64 labels renumbered by order of each label's first vertex."""
     _, first = np.unique(labels, return_index=True)
     rank = np.empty(first.size, dtype=np.int64)
     rank[np.argsort(first, kind="stable")] = np.arange(first.size)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _advance
-from .graphs import Graph, as_config, component_labels
+from .graphs import Graph, as_config, _canonical_labels
 
 __all__ = ["SameStatePartition", "same_state_partition", "find_predecessor_k1"]
 
@@ -75,13 +75,32 @@ def _partition_small(g: Graph, ys: list[int]):
     return comp, comp_state, comp_locked, vertex_locked
 
 
-def _partition_large(g: Graph, y: np.ndarray):
+def _regions(g: Graph, y: np.ndarray):
+    """(region label per vertex, in scipy's numbering; region count;
+    vertex_locked; component_locked)."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n = g.n
     eu, ev = g.edge_arrays()
-    same = y[eu] == y[ev]
-    labels = component_labels(g.n, eu[same], ev[same])
+    differs = y[eu] != y[ev]
+    same = ~differs
+    # The canonical edges are sorted by (u, v), so the same-state ones are
+    # already a CSR of the arcs u -> v, each row's columns ascending.
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(eu[same], minlength=n), out=indptr[1:])
+    mat = csr_matrix((np.ones(indptr[-1]), ev[same], indptr), shape=(n, n))
+    ncomp, labels = connected_components(mat, directed=False)
     # under k = 1 a vertex keeps its state iff no neighbour differs from it
-    vertex_locked = _advance(y, eu, ev, g.n, 1) == y
-    ncomp = int(labels.max()) + 1 if g.n else 0
+    vertex_locked = np.bincount(eu, differs, n) + np.bincount(ev, differs, n) == 0
+    component_locked = np.zeros(ncomp, dtype=bool)
+    component_locked[labels[vertex_locked]] = True
+    return labels, ncomp, vertex_locked, component_locked
+
+
+def _partition_large(g: Graph, y: np.ndarray):
+    raw, ncomp, vertex_locked, _ = _regions(g, y)
+    labels = _canonical_labels(raw)
     component_state = np.zeros(ncomp, dtype=np.int8)
     component_state[labels] = y
     component_locked = np.zeros(ncomp, dtype=bool)
@@ -122,7 +141,7 @@ def _find_small(g: Graph, y: np.ndarray) -> np.ndarray | None:
 
 def _find_large(g: Graph, y: np.ndarray) -> np.ndarray | None:
     # A predecessor exists iff the one that flips every unlocked region is one.
-    labels, _, locked, _ = _partition_large(g, y)
+    labels, _, _, locked = _regions(g, y)
     w = np.where(locked[labels], y, -y)
     return w if np.array_equal(_advance(w, *g.edge_arrays(), g.n, 1), y) else None
 

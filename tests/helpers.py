@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 
-from kreversible import Graph
+from kreversible import Graph, RootedTree
 from kreversible.generators import tree_from_pruefer
 from kreversible.oracle import index_config
 
@@ -64,3 +64,16 @@ def prism_graph() -> Graph:
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def built_views(t: RootedTree) -> list[str]:
+    """The list views of t built so far: reading a slot through its class
+    descriptor never builds one."""
+    built = []
+    for name in ("parent", "bfs_order", "_cptr"):
+        try:
+            getattr(RootedTree, name).__get__(t)
+        except AttributeError:
+            continue
+        built.append(name)
+    return built

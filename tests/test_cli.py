@@ -130,6 +130,39 @@ def test_pre_methods_agree_on_overlap(tmp_path, capsys):
     assert codes == {1}
 
 
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    # main keeps one parser per process; back-to-back calls with different
+    # subcommands, after a usage error, answer as a fresh parser does
+    from kreversible import cli
+
+    g, y, goe = write(tmp_path, "g", P3), write(tmp_path, "y", ALL_PLUS3), write(tmp_path, "e", GOE)
+    requests = [
+        ["pre", "--graph", g, "--config", y, "--k", "2"],
+        ["count", "--graph", g, "--config", goe, "--k", "2", "--method", "oracle"],
+        ["step", "--graph", g, "--config", goe, "--k", "1", "--steps", "3"],
+        ["verify", "--graph", g, "--config", y, "--k", "2", "--candidate", goe],
+        ["gen", "tree", "--n", "6", "--seed", "4"],
+        ["pre", "--graph", g, "--config", goe, "--k", "1"],
+    ]
+
+    def run(argv):
+        rc = main(argv)
+        return rc, capsys.readouterr()
+
+    fresh = []
+    for argv in requests:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    cli._build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["pre", "--graph", g, "--config", y, "--k", "two"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    parser = cli._build_parser()
+    assert [run(argv) for argv in requests] == fresh
+    assert cli._build_parser() is parser
+
+
 def test_pre_invalid_method_is_usage_error(tmp_path, capsys):
     rc = main(["pre", "--graph", write(tmp_path, "g", "3 3\n0 1\n1 2\n0 2\n"),
                "--config", write(tmp_path, "y", ALL_PLUS3), "--k", "2", "--method", "tree"])

@@ -29,7 +29,8 @@ from kreversible.graphs import (
     _parse_graph_lines,
 )
 from kreversible.generators import random_graph, random_tree, tree_from_pruefer
-from helpers import all_graphs, all_labeled_trees, cycle_graph, path_graph, relabel, star_graph
+from helpers import (all_graphs, all_labeled_trees, built_views, cycle_graph, path_graph, relabel,
+                     star_graph)
 
 
 def test_parse_path():
@@ -241,6 +242,38 @@ def test_bfs_paths_root_trees_alike(monkeypatch, n):
                 assert all(pos[t.parent[v]] < pos[v] for v in range(n) if v != root)
 
 
+@pytest.mark.parametrize("n", [1, 7, 600, 2049])  # both sides of tree_decide._CONTRACT_N
+@pytest.mark.parametrize("bfs", _BFS_PATHS)
+def test_list_views_match_the_arrays(monkeypatch, bfs, n):
+    monkeypatch.setattr(graphs, "_SMALL_N", _BFS_PATHS[bfs])
+    for g in _bfs_trees(n):
+        root = n // 2
+        t = root_tree(g, root)
+        pa, order = t.parent_array, t.order_array
+        assert pa.dtype == order.dtype == np.int64
+        # the list BFS hands its three lists over; scipy's arrays get each
+        # view on its first read
+        views = ["parent", "bfs_order", "_cptr"]
+        assert built_views(t) == (views if bfs == "list" else [])
+        want = pa.tolist()
+        want[root] = None
+        assert t.parent == want
+        assert built_views(t) == (views if bfs == "list" else ["parent"])
+        cptr, bfs_order = t.child_slices()
+        assert bfs_order == order.tolist() and bfs_order is t.bfs_order
+        assert built_views(t) == views
+        # rank r's children, in ascending id, are the run after rank r-1's
+        runs = [order[pa[order] == v].tolist() for v in order.tolist()]
+        assert all(run == sorted(run) for run in runs)
+        assert [bfs_order[cptr[r]:cptr[r + 1]] for r in range(n)] == runs
+        assert cptr[0] == 1 and cptr[-1] == n
+        # a second read returns the cached object
+        assert t.parent is t.parent and t.bfs_order is t.bfs_order
+        assert t.child_slices()[0] is cptr
+        with pytest.raises(AttributeError, match="no attribute 'cptr'"):
+            t.cptr
+
+
 @pytest.mark.parametrize("g", [
     cycle_graph(40),
     # m = n - 1: a triangle plus a path, so the graph is disconnected
@@ -256,8 +289,8 @@ def test_bfs_paths_reject_non_trees_alike(monkeypatch, g):
         with pytest.raises(ValueError, match="not a tree") as exc:
             root_tree(g, 0)
         errors[name] = str(exc.value)
-        parent, order = graphs._bfs_from(g, 0)
-        searches[name] = (parent.tolist(), sorted(order.tolist()))
+        parent, order, _ = graphs._bfs_from(g, 0)  # lists on the list path, arrays on scipy's
+        searches[name] = (np.asarray(parent).tolist(), sorted(np.asarray(order).tolist()))
     assert errors["list"] == errors["scipy"]
     assert verdicts == {"list": False, "scipy": False}
     assert searches["list"] == searches["scipy"]

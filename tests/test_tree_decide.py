@@ -17,7 +17,7 @@ from kreversible import (
 )
 from kreversible.generators import hub_spokes_tree, random_config, random_tree
 from kreversible.oracle import config_index
-from helpers import all_configs, all_labeled_trees, path_graph, star_graph
+from helpers import all_configs, all_labeled_trees, built_views, path_graph, star_graph
 
 
 def test_transition_possible_branches():
@@ -254,3 +254,21 @@ def test_large_decision_independent_of_root(monkeypatch, cutoff):
                     answers.add(w is not None)
                     assert w is None or is_predecessor(g, k, w, y)
                 assert len(answers) == 1
+
+
+def test_contraction_builds_no_list_view():
+    # above _CONTRACT_N the decision reads only parent_array: no Python list
+    n = tree_decide._CONTRACT_N + 1
+    for g in (random_tree(n, seed=41), path_graph(n)):
+        t = root_tree(g, 0)
+        for k in (1, 2, 3):
+            y = random_config(n, seed=42 + k)
+            for target in (y, step(g, k, y)):
+                w = find_predecessor_tree(t, k, target)
+                assert w is None or is_predecessor(g, k, w, target)
+                compute_forced_states(t, k, target).visits
+        assert built_views(t) == []
+    # the scalar rake reads parent and bfs_order, never the child slices
+    t = root_tree(random_tree(n - 1, seed=41), 0)
+    find_predecessor_tree(t, 2, random_config(n - 1, seed=43))
+    assert built_views(t) == ["parent", "bfs_order"]
