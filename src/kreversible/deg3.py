@@ -161,8 +161,19 @@ def _scc_labels(nn: int, src, dst) -> np.ndarray:
 
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
-    # float64 weights, the dtype csgraph works in: repeated arcs sum, never wrap to 0.
-    adj = csr_matrix((np.ones(src.size), (src, dst)), shape=(nn, nn))
+    # One sort of the arc codes gives the CSR that scipy's COO conversion
+    # builds: rows ascending, each row's heads ascending, repeats merged.
+    # The merge is needed: on a CSR that keeps a repeated arc, scipy 1.17.1's
+    # strong components did not return.
+    codes = np.sort(src * nn + dst)
+    keep = np.ones(codes.size, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    codes = codes[keep]
+    tails = codes // nn
+    indptr = np.zeros(nn + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=nn), out=indptr[1:])
+    # float64 weights, the dtype csgraph works in, so it makes no copy.
+    adj = csr_matrix((np.ones(codes.size), codes - tails * nn, indptr), shape=(nn, nn))
     _, lab = connected_components(adj, directed=True, connection="strong")
     # scipy does not document its label order, and the assignment rule below
     # is only sound if no arc leads to a higher label.

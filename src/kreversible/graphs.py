@@ -173,8 +173,8 @@ class RootedTree:
     ``bfs_order`` and :meth:`child_slices`' ``(cptr, bfs_order)``.  A tree
     rooted by the list BFS holds the three lists that search built; one
     rooted by scipy's BFS builds each on its first read and caches it (see
-    ``_LazyRootedTree``), so the contraction, which reads only
-    ``parent_array``, builds none.
+    ``_LazyRootedTree``).  The contraction reads only ``parent_array``, and
+    the count above ``_SMALL_N`` only the two arrays, so neither builds one.
     """
 
     __slots__ = ("graph", "root", "parent_array", "order_array", "parent", "bfs_order", "_cptr")
@@ -229,18 +229,22 @@ class _LazyRootedTree(RootedTree):
         elif name == "bfs_order":
             view = self.order_array.tolist()
         elif name == "_cptr":
-            # A FIFO BFS over ascending neighbour lists appends each vertex's
-            # children as one run, in ascending id, right after the run of
-            # the vertex before it.
-            order = self.order_array
-            n = order.size
-            cptr = np.ones(n + 1, dtype=np.int64)
-            cptr[1:] += np.cumsum(np.bincount(self.parent_array[order[1:]], minlength=n)[order])
-            view = cptr.tolist()
+            view = _child_ptr(self.parent_array, self.order_array).tolist()
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         setattr(self, name, view)
         return view
+
+
+def _child_ptr(parent: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The int64 ``cptr`` of a tree's arrays: the children of the vertex at
+    BFS rank r sit at ranks ``cptr[r]`` to ``cptr[r + 1] - 1``.  A FIFO BFS
+    over ascending neighbour lists appends each vertex's children as one
+    run, in ascending id, right after the run of the vertex before it."""
+    n = order.size
+    cptr = np.ones(n + 1, dtype=np.int64)
+    cptr[1:] += np.cumsum(np.bincount(parent[order[1:]], minlength=n)[order])
+    return cptr
 
 
 def _decode(text) -> str:

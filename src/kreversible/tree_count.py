@@ -11,11 +11,23 @@ the total minus fewer than k.  So each vertex keeps two rows truncated to k
 cells and one running total: a vertex with c children costs O(c·min(k, c))
 multiply-adds, and the tree O(n·min(k, Δ)), against O(n²) for full rows.
 Counts are exact Python integers; they grow exponentially in n.
+
+Up to ``graphs._SMALL_N`` vertices one scalar loop walks the BFS ranks from
+the leaves.  Above it, numpy first settles in int64 the cells of every
+vertex whose subtree has at most 62 vertices, whose counts cannot pass
+2^61.  It does so in rounds, each taking the vertices whose children are
+all settled, and stops once a round readies fewer than
+``_ROUND_BREAK_EVEN`` vertices: a path or a caterpillar's spine falls
+through at once.  The scalar loop then runs, in Python integers, over the
+vertices left.
 """
 
 from __future__ import annotations
 
-from .graphs import RootedTree, config_list
+import numpy as np
+
+from . import graphs
+from .graphs import RootedTree, as_config, config_list
 from .dynamics import check_k
 
 __all__ = [
@@ -41,18 +53,114 @@ def children_threshold(degree: int, target: int, current: int, parent_state: int
     return k
 
 
+# Fewest vertices a round of _settle must ready to pay for its fixed cost of
+# numpy calls, against one scalar iteration each (see ROADMAP.md's "Cutoff
+# basis"): below it, the rest of the tree goes to the Python-int loop.
+_ROUND_BREAK_EVEN = 32
+
+
+def _settle(tree: RootedTree, k: int, y: np.ndarray):
+    """(ranks, cptr, edge, cells): the int64 rounds' share of the count.
+
+    The rounds settle the parent-frame cells (see count_predecessors_tree)
+    of every non-root vertex whose subtree has at most 62 vertices.  A cell
+    counts the configurations of v's subtree with v's state and its
+    parent's fixed, so it is at most 2^(s-1) on a subtree of s vertices,
+    and so is every partial product and sum of the row update: at most
+    2^61 for s <= 62, which int64 holds without wrapping.  Each round takes
+    the ranks whose children are all settled, if there are at least
+    ``_ROUND_BREAK_EVEN``, so a path (one leaf) settles nothing.  ``ranks``
+    lists the ranks left, descending; ``edge`` the settled vertices whose
+    parent is left, and ``cells`` their cells as Python ints.
+    """
+    parent, order = tree.parent_array, tree.order_array
+    n = order.size
+    cptr = graphs._child_ptr(parent, order)
+    nch = cptr[1:] - cptr[:-1]
+    prank = np.repeat(np.arange(n), nch)  # the parent's rank of ranks 1..n-1, ascending
+    ybit = y > 0
+    kk = min(k, 64)  # a settled vertex has at most 61 children: rows cut at 63 cells are whole
+    left = nch.copy()  # children not settled yet
+    left[0] += 1  # and one more at the root, which has no parent frame to settle
+    size = np.ones(n, dtype=np.int64)  # the subtree's size once its children are settled
+    settled = np.zeros(n, dtype=bool)
+    # cells[:, :, r]: [[wt_t, wo_o], [wo_t, wt_o]] in count_predecessors_tree's
+    # names, so a child's cells read as (stay, shift) for the off and on rows
+    cells = np.empty((2, 2, n), dtype=np.int64)
+    ready = (nch[1:] == 0).nonzero()[0] + 1
+    while True:
+        ready = ready[size[ready] <= 62]
+        if not ready.size or ready.size < _ROUND_BREAK_EVEN:
+            break
+        # most children first, so child slot j updates the first rows[j] rows
+        nc = nch[ready]
+        by = (-nc).argsort()
+        rr, nc = ready[by], nc[by]
+        top = int(nc[0])
+        rows = (-nc).searchsorted(-np.arange(top)).tolist()
+        first = cptr[rr]
+        # off_on[c, 0] is cell c of the off rows, off_on[c, 1] of the on rows
+        off_on = np.zeros((min(kk, top + 1), 2, rr.size), dtype=np.int64)
+        off_on[0] = 1
+        tot = np.ones(rr.size, dtype=np.int64)
+        for j, m in enumerate(rows):
+            stay, shift = cells[:, :, first[:m] + j]
+            tot[:m] *= stay[1] + shift[1]
+            o = off_on[:j + 2, :, :m]
+            o[1:] = o[1:] * stay + o[:-1] * shift
+            o[0] *= stay
+        # the rows' sums, whole and cut at k - 1 cells
+        whole = off_on.sum(0)
+        cut = whole - off_on[kk - 1] if off_on.shape[0] == kk else whole
+        x = np.empty((2, 2, rr.size), dtype=np.int64)
+        x[0, 0] = whole[0]
+        x[0, 1] = tot - whole[1]
+        x[1, 0] = tot - cut[1]
+        x[1, 1] = cut[0]
+        # a parent with the other target reads each pair reversed
+        vs = order[rr]
+        cells[:, :, rr] = np.where(ybit[vs] != ybit[parent[vs]], x[:, ::-1], x)
+        settled[ready] = True
+        p = prank[ready - 1]  # ascending, as ready is
+        np.subtract.at(left, p, 1)
+        np.add.at(size, p, size[ready])
+        run = np.empty(p.size, dtype=bool)
+        run[0] = True
+        np.not_equal(p[1:], p[:-1], out=run[1:])
+        up = p[run]
+        ready = up[left[up] == 0]
+    if not settled.any():
+        return range(n - 1, -1, -1), cptr, [], []
+    edge = (settled[1:] & ~settled[prank]).nonzero()[0] + 1
+    rest = (~settled).nonzero()[0]
+    return rest[::-1].tolist(), cptr, order[edge].tolist(), cells[:, :, edge][[0, 1, 1, 0], [0, 0, 1, 1]].T.tolist()
+
+
 def count_predecessors_tree(tree: RootedTree, k: int, y) -> int:
     """Exact number of predecessors of y on the tree."""
     k = check_k(k)
     n = tree.graph.n
-    ys = config_list(y, n)
-    parent = tree.parent
-    cptr, order = tree.child_slices()
+    cells: list = [None] * n
+    if n > graphs._SMALL_N:
+        # int64 rounds settle the small subtrees; the loop below runs over the
+        # other ranks, reading the settled children's cells as Python ints
+        y = as_config(y, n)
+        ranks, cptr, edge, edge_cells = _settle(tree, k, y)
+        for v, c in zip(edge, edge_cells):
+            cells[v] = c
+        ys = y.tolist()
+        parent = tree.parent_array.tolist()
+        order = tree.order_array.tolist()
+        cptr = cptr.tolist()
+    else:
+        ys = config_list(y, n)
+        parent = tree.parent
+        cptr, order = tree.child_slices()
+        ranks = range(n - 1, -1, -1)
     # cells[v], in the frame of v's parent p: with p in its target state, the
     # ways with v in p's target state and with v opposite it; then the same
     # two with p opposite its target.
-    cells: list = [None] * n
-    for r in range(n - 1, -1, -1):
+    for r in ranks:
         v = order[r]
         tgt = ys[v]
         # off[j]: v in its target state, exactly j children off target;

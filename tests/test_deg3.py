@@ -282,7 +282,29 @@ def test_small_twosat_routes_never_import_scipy():
         "    assert kr.find_predecessor(g, 2, y) is not None\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
+    assert _run_python(code) == "[]"
+
+
+def _run_python(code: str, timeout: float | None = None) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(kreversible.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+                         timeout=timeout)
+    return out.stdout.strip()
+
+
+def test_repeated_implication_arcs_reach_the_compiled_scc_merged():
+    # C4 under the all-+1 target asks each of its six pairs twice (clause
+    # (1, 3) from vertices 0 and 2, and so on): 12 repeated arcs.  On a CSR
+    # that keeps them, scipy's strong components did not return, so the
+    # call runs in a subprocess whose timeout turns a hang into a failure.
+    code = (
+        "import kreversible as kr\n"
+        "kr.deg3._TARJAN_N = 0\n"
+        "g = kr.Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])\n"
+        "w = kr.find_predecessor_deg3(g, [1, 1, 1, 1])\n"
+        "assert kr.is_predecessor(g, 2, w, [1, 1, 1, 1])\n"
+        "print(w.tolist())\n"
+    )
+    assert _run_python(code, timeout=30) == "[1, 1, 1, 1]"

@@ -1,10 +1,12 @@
 """Tree predecessor counting: thresholds, exact counts, closed-form family."""
 
+import sys
 import time
 
 import numpy as np
 import pytest
 
+from kreversible import graphs, tree_count
 from kreversible import (
     Graph,
     children_threshold,
@@ -13,10 +15,40 @@ from kreversible import (
     count_predecessors_tree_by_subsets,
     find_predecessor_tree,
     root_tree,
+    step,
     successor_indices,
 )
 from kreversible.generators import hub_spokes_tree, random_config, random_tree
 from helpers import all_configs, all_labeled_trees, path_graph, star_graph
+
+# count_predecessors_tree runs its scalar loop at or below graphs._SMALL_N
+# vertices.  Above it, int64 rounds settle the small subtrees first and the
+# loop takes the other vertices: "rounds" forces a round whenever a vertex
+# is ready, "loop" forbids every round, so the loop reads only its own cells.
+_ENGINES = {"scalar": None, "rounds": 0, "loop": sys.maxsize}
+
+
+def _each_engine(monkeypatch):
+    """Yields each engine's name while count_predecessors_tree runs it."""
+    for name, break_even in _ENGINES.items():
+        with monkeypatch.context() as m:
+            if break_even is not None:
+                m.setattr(graphs, "_SMALL_N", 0)
+                m.setattr(tree_count, "_ROUND_BREAK_EVEN", break_even)
+            yield name
+
+
+def _scalar_count(tree, k, y, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(graphs, "_SMALL_N", sys.maxsize)
+        return count_predecessors_tree(tree, k, y)
+
+
+def _caterpillar(spine: int, legs: int) -> Graph:
+    """A path of ``spine`` vertices, each with ``legs`` leaves of its own."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + legs * i + j) for i in range(spine) for j in range(legs)]
+    return Graph(spine * (legs + 1), edges)
 
 
 def test_children_threshold_branches():
@@ -48,15 +80,16 @@ def test_count_hub_spokes_p3():
     assert count_predecessors_bruteforce(g, 2, [1] * 10) == 8
 
 
-def test_oracle_equivalence_exhaustive_small_trees():
-    for n in range(1, 6):
-        configs = all_configs(n)
-        for g in all_labeled_trees(n):
-            t = root_tree(g, 0)
-            for k in (1, 2, 3, 4):
-                counts = np.bincount(successor_indices(g, k), minlength=1 << n)
-                for idx, y in enumerate(configs):
-                    assert count_predecessors_tree(t, k, y) == int(counts[idx])
+def test_oracle_equivalence_exhaustive_small_trees(monkeypatch):
+    for _ in _each_engine(monkeypatch):
+        for n in range(1, 6):
+            configs = all_configs(n)
+            for g in all_labeled_trees(n):
+                t = root_tree(g, 0)
+                for k in (1, 2, 3, 4):
+                    counts = np.bincount(successor_indices(g, k), minlength=1 << n)
+                    for idx, y in enumerate(configs):
+                        assert count_predecessors_tree(t, k, y) == int(counts[idx])
 
 
 def test_oracle_equivalence_every_root_and_k_above_child_counts():
@@ -71,38 +104,100 @@ def test_oracle_equivalence_every_root_and_k_above_child_counts():
                         assert count_predecessors_tree(t, k, y) == int(counts[idx])
 
 
-def test_subset_route_matches_dp_route_on_wide_vertices():
+def test_subset_route_matches_dp_route_on_wide_vertices(monkeypatch):
     # stars, a hub and a caterpillar whose vertices have 8 to 14 children;
     # k runs past the child count, so rows are cut below, at and above it
-    legs = [(s, 3 + 9 * s + i) for s in range(3) for i in range(9)]
-    caterpillar = Graph(30, [(0, 1), (1, 2)] + legs)
-    cases = [
-        (star_graph(14), 0),
-        (star_graph(12), 5),
-        (hub_spokes_tree(9), 0),
-        (hub_spokes_tree(10), 4),
-        (caterpillar, 1),
-    ]
-    for j, (g, root) in enumerate(cases):
-        t = root_tree(g, root)
-        widest = max(t.n_children(v) for v in range(g.n))
-        assert 8 <= widest <= 14
-        for k in range(1, widest + 3):
-            y = random_config(g.n, seed=9100 + 50 * j + k)
-            assert count_predecessors_tree(t, k, y) == count_predecessors_tree_by_subsets(
-                t, k, y, max_children=14
-            )
+    for _ in _each_engine(monkeypatch):
+        cases = [
+            (star_graph(14), 0),
+            (star_graph(12), 5),
+            (hub_spokes_tree(9), 0),
+            (hub_spokes_tree(10), 4),
+            (_caterpillar(3, 9), 1),
+        ]
+        for j, (g, root) in enumerate(cases):
+            t = root_tree(g, root)
+            widest = max(t.n_children(v) for v in range(g.n))
+            assert 8 <= widest <= 14
+            for k in range(1, widest + 3):
+                y = random_config(g.n, seed=9100 + 50 * j + k)
+                assert count_predecessors_tree(t, k, y) == count_predecessors_tree_by_subsets(
+                    t, k, y, max_children=14
+                )
 
 
-def test_subset_route_matches_dp_route():
-    for s in range(25):
-        n = 6 + (s % 4)
-        g = random_tree(n, seed=300 + s)
+def test_subset_route_matches_dp_route(monkeypatch):
+    for _ in _each_engine(monkeypatch):
+        for s in range(25):
+            n = 6 + (s % 4)
+            g = random_tree(n, seed=300 + s)
+            t = root_tree(g, 0)
+            for k in (1, 2, 3):
+                for j in range(8):
+                    y = random_config(n, seed=7000 + 100 * s + j)
+                    assert count_predecessors_tree(t, k, y) == count_predecessors_tree_by_subsets(t, k, y)
+
+
+def _count_cases():
+    """(tree, k, target): random trees with random roots, paths, stars,
+    caterpillars and hubs of 1 to 139 vertices, with k in {1, 2, 3, the max
+    degree, one above it, 10^400} and half the targets images of a step."""
+    rng = np.random.default_rng(77)
+    shapes = [random_tree(n, seed=s) for n in (1, 2, 5, 8, 9, 33, 64, 139) for s in range(3)]
+    shapes += [path_graph(n) for n in (2, 9, 70, 139)]
+    shapes += [star_graph(8), star_graph(70), _caterpillar(3, 2), _caterpillar(12, 5),
+               hub_spokes_tree(3), hub_spokes_tree(40)]
+    for j, g in enumerate(shapes):
+        t = root_tree(g, int(rng.integers(g.n)))
+        delta = int(g.degrees().max(initial=0))
+        for k in sorted({1, 2, 3, max(delta, 1), delta + 1, 10**400}):
+            for i in range(2):
+                y = random_config(g.n, seed=1000 * j + 10 * min(k, 99) + i)
+                yield t, k, step(t.graph, k, y) if i else y
+
+
+def test_engines_match_the_scalar_dp(monkeypatch):
+    for _ in _each_engine(monkeypatch):
+        for t, k, y in _count_cases():
+            want = _scalar_count(t, k, y, monkeypatch)
+            assert count_predecessors_tree(t, k, y) == want
+            if t.graph.n <= 9:
+                assert count_predecessors_tree_by_subsets(t, k, y) == want
+
+
+@pytest.mark.parametrize("s", [61, 62, 63, 64])
+def test_rounds_leave_subtrees_above_62_vertices_to_python_ints(monkeypatch, s):
+    # Below the root, a star of s vertices whose centre targets -1 and whose
+    # leaves target +1: at k = 1 its cells count about 2^(s-1) states, so at
+    # s = 64 they would wrap in int64.  The rounds settle the star at most
+    # up to 62 vertices, and the counts stay exact either way.
+    g = Graph(s + 2, [(0, 1), (0, s + 1)] + [(1, i) for i in range(2, s + 1)])
+    monkeypatch.setattr(tree_count, "_ROUND_BREAK_EVEN", 0)
+    t = root_tree(g, 0)
+    for tops in ([1, 1], [1, -1], [-1, 1]):
+        y = np.array([tops[0], -1] + [1] * (s - 1) + [tops[1]], dtype=np.int8)
+        want = _scalar_count(t, 1, y, monkeypatch)
+        assert want >= 2 ** (s - 3)
+        assert (1 in tree_count._settle(t, 1, y)[0]) == (s > 62)  # the centre has BFS rank 1
+        with monkeypatch.context() as m:
+            m.setattr(graphs, "_SMALL_N", 0)
+            assert count_predecessors_tree(t, 1, y) == want
+
+
+def test_large_counts_agree_with_the_decision_and_the_sign_flip():
+    # Beyond the oracle's reach: on trees of 10^4 to 2.2*10^4 vertices, with
+    # the default cutoffs, a count is positive exactly when the decision
+    # finds a witness, and a target and its negation count alike.
+    for g in (random_tree(22_000, seed=5), _caterpillar(2_000, 4), hub_spokes_tree(5_000)):
         t = root_tree(g, 0)
         for k in (1, 2, 3):
-            for j in range(8):
-                y = random_config(n, seed=7000 + 100 * s + j)
-                assert count_predecessors_tree(t, k, y) == count_predecessors_tree_by_subsets(t, k, y)
+            for i in range(2):
+                y = random_config(g.n, seed=70 * k + i)
+                y = step(g, k, y) if i else y
+                c = count_predecessors_tree(t, k, y)
+                assert (c > 0) == (find_predecessor_tree(t, k, y) is not None)
+                assert c > 0 or i == 0  # an image of a step has a predecessor
+                assert count_predecessors_tree(t, k, -y) == c
 
 
 def test_subset_route_guards_wide_vertices():

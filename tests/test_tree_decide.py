@@ -7,6 +7,7 @@ from kreversible import (
     INFEASIBLE,
     Graph,
     compute_forced_states,
+    count_predecessors_tree,
     find_predecessor_tree,
     is_predecessor,
     root_tree,
@@ -257,7 +258,8 @@ def test_large_decision_independent_of_root(monkeypatch, cutoff):
 
 
 def test_contraction_builds_no_list_view():
-    # above _CONTRACT_N the decision reads only parent_array: no Python list
+    # above _CONTRACT_N the decision reads only parent_array, and above
+    # graphs._SMALL_N the count only the arrays: no Python list view
     n = tree_decide._CONTRACT_N + 1
     for g in (random_tree(n, seed=41), path_graph(n)):
         t = root_tree(g, 0)
@@ -267,6 +269,7 @@ def test_contraction_builds_no_list_view():
                 w = find_predecessor_tree(t, k, target)
                 assert w is None or is_predecessor(g, k, w, target)
                 compute_forced_states(t, k, target).visits
+                assert (count_predecessors_tree(t, k, target) > 0) == (w is not None)
         assert built_views(t) == []
     # the scalar rake reads parent and bfs_order, never the child slices
     t = root_tree(random_tree(n - 1, seed=41), 0)
