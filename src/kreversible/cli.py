@@ -94,13 +94,42 @@ def _cmd_pre(args) -> int:
     return EXIT_YES
 
 
+# Bits up to which _decimal converts an int with Decimal(x) alone, whose cost
+# is quadratic in the bits: past it, halves split by bits are converted on
+# their own and rejoined with one multiply, which libmpdec does in
+# subquadratic time.
+_DECIMAL_BITS = 4096
+
+
+def _decimal(x: int):
+    """Decimal(x) for an int x >= 0, in subquadratic time.  It prints any
+    int: str() refuses one past the int-to-str digit limit."""
+    from decimal import MAX_EMAX, MAX_PREC, Context, Decimal
+
+    if x.bit_length() <= _DECIMAL_BITS:
+        return Decimal(x)
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX)
+    # x < 2**(2 * shifts[-1]); a value below 2**(2 * shifts[i]) splits at shifts[i]
+    shifts = [_DECIMAL_BITS]
+    while 2 * shifts[-1] < x.bit_length():
+        shifts.append(2 * shifts[-1])
+    scale = [exact.power(2, s) for s in shifts]
+
+    def convert(x: int, i: int):
+        if x.bit_length() <= _DECIMAL_BITS:
+            return Decimal(x)
+        s = shifts[i]
+        high = convert(x >> s, i - 1)
+        return exact.add(exact.multiply(high, scale[i]), convert(x & ((1 << s) - 1), i - 1))
+
+    return convert(x, len(shifts) - 1)
+
+
 def _cmd_count(args) -> int:
     g, y = _load_graph_config(args)
     r, x = route(g, args.k, args.method, args.oracle_limit, counting=True)
     total = r.count(x, args.k, y)
-    from decimal import Decimal  # prints any int, past the int-to-str digit limit
-
-    print(Decimal(total))
+    print(_decimal(total))
     return EXIT_YES if total > 0 else EXIT_NO
 
 

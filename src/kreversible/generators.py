@@ -125,7 +125,7 @@ def random_graph(n: int, m: int, seed: int) -> Graph:
         keep = np.ones(limit, dtype=bool)
         keep[np.searchsorted(codes, drop)] = False
         codes = codes[keep]
-    return Graph(n, np.stack([codes // n, codes % n], axis=1))
+    return Graph._from_codes(n, codes)  # sorted and distinct: nothing to check
 
 
 def random_bounded_degree_graph(n: int, max_deg: int, seed: int, m: int | None = None) -> Graph:

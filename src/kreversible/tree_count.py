@@ -19,7 +19,7 @@ vertex whose subtree has at most 62 vertices, whose counts cannot pass
 all settled, and stops once a round readies fewer than
 ``_ROUND_BREAK_EVEN`` vertices: a path or a caterpillar's spine falls
 through at once.  The scalar loop then runs, in Python integers, over the
-vertices left.
+vertices left, on lists built for them and the settled children they read.
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ _ROUND_BREAK_EVEN = 32
 
 
 def _settle(tree: RootedTree, k: int, y: np.ndarray):
-    """(ranks, cptr, edge, cells): the int64 rounds' share of the count.
+    """(ranks, parent, cptr, ys, cells): the tree the int64 rounds leave to
+    the scalar loop.
 
     The rounds settle the parent-frame cells (see count_predecessors_tree)
     of every non-root vertex whose subtree has at most 62 vertices.  A cell
@@ -69,9 +70,14 @@ def _settle(tree: RootedTree, k: int, y: np.ndarray):
     and so is every partial product and sum of the row update: at most
     2^61 for s <= 62, which int64 holds without wrapping.  Each round takes
     the ranks whose children are all settled, if there are at least
-    ``_ROUND_BREAK_EVEN``, so a path (one leaf) settles nothing.  ``ranks``
-    lists the ranks left, descending; ``edge`` the settled vertices whose
-    parent is left, and ``cells`` their cells as Python ints.
+    ``_ROUND_BREAK_EVEN``, so a path (one leaf) settles nothing.
+
+    What is left is the upper tree: the ranks not settled and their settled
+    children, numbered 0, 1, ... in rank order, so that its vertex i sits
+    at its rank i.  ``ranks`` lists its ranks not settled, descending;
+    ``parent``, ``cptr`` and ``ys`` are its parents, child pointers and
+    targets, and ``cells`` holds its settled vertices' cells as Python ints
+    (None elsewhere).  Only these become lists: the loop reads no others.
     """
     parent, order = tree.parent_array, tree.order_array
     n = order.size
@@ -129,30 +135,33 @@ def _settle(tree: RootedTree, k: int, y: np.ndarray):
         np.not_equal(p[1:], p[:-1], out=run[1:])
         up = p[run]
         ready = up[left[up] == 0]
-    if not settled.any():
-        return range(n - 1, -1, -1), cptr, [], []
     edge = (settled[1:] & ~settled[prank]).nonzero()[0] + 1
-    rest = (~settled).nonzero()[0]
-    return rest[::-1].tolist(), cptr, order[edge].tolist(), cells[:, :, edge][[0, 1, 1, 0], [0, 0, 1, 1]].T.tolist()
+    keep = ~settled
+    keep[edge] = True
+    upper = keep.nonzero()[0]
+    new = np.cumsum(keep) - 1  # each kept rank's number in the upper tree
+    # A rank not settled has all its children kept, and a dropped rank none,
+    # so each run of kept children maps to a run of the upper tree.
+    up_cptr = upper.searchsorted(cptr[np.append(upper, n)]).tolist()
+    up_parent = [None] + new[prank[upper[1:] - 1]].tolist()
+    up_cells = [None] * upper.size
+    for i, c in zip(new[edge].tolist(), cells[:, :, edge][[0, 1, 1, 0], [0, 0, 1, 1]].T.tolist()):
+        up_cells[i] = c
+    ranks = (~settled[upper]).nonzero()[0][::-1].tolist()
+    return ranks, up_parent, up_cptr, y[order[upper]].tolist(), up_cells
 
 
 def count_predecessors_tree(tree: RootedTree, k: int, y) -> int:
     """Exact number of predecessors of y on the tree."""
     k = check_k(k)
     n = tree.graph.n
-    cells: list = [None] * n
     if n > graphs._SMALL_N:
         # int64 rounds settle the small subtrees; the loop below runs over the
-        # other ranks, reading the settled children's cells as Python ints
-        y = as_config(y, n)
-        ranks, cptr, edge, edge_cells = _settle(tree, k, y)
-        for v, c in zip(edge, edge_cells):
-            cells[v] = c
-        ys = y.tolist()
-        parent = tree.parent_array.tolist()
-        order = tree.order_array.tolist()
-        cptr = cptr.tolist()
+        # upper tree they leave, whose order is the identity
+        ranks, parent, cptr, ys, cells = _settle(tree, k, as_config(y, n))
+        order = list(range(len(ys)))
     else:
+        cells = [None] * n
         ys = config_list(y, n)
         parent = tree.parent
         cptr, order = tree.child_slices()

@@ -2,8 +2,12 @@
 
 import contextlib
 import io
+import os
+import random
+import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +24,9 @@ from kreversible import (
     step,
     write_graph,
 )
-from kreversible.cli import choose_method, main
+import kreversible
+from kreversible import graphs
+from kreversible.cli import _DECIMAL_BITS, _decimal, choose_method, main
 from kreversible.generators import random_config, random_regular_graph, random_tree
 from helpers import complete_graph, cycle_graph, path_graph
 
@@ -285,6 +291,57 @@ def test_count_prints_past_the_int_to_str_limit(tmp_path, capsys):
         sys.set_int_max_str_digits(limit)
     assert rc == 0
     assert capsys.readouterr().out == f"{expected}\n"
+
+
+def test_count_printer_splits_large_ints_exactly():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        rng = random.Random(8)
+        for bits in (1, 64, _DECIMAL_BITS, _DECIMAL_BITS + 1, 2 * _DECIMAL_BITS, 2 * _DECIMAL_BITS + 1, 50_001):
+            for x in (1 << (bits - 1), (1 << bits) - 1, rng.getrandbits(bits) | 1 << (bits - 1)):
+                assert str(_decimal(x)) == str(x)
+        assert str(_decimal(0)) == "0"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_tiny_request_starts_no_thread(tmp_path):
+    # A fresh interpreter answering a tiny `pre` reads and writes in one
+    # chunk: no thread, and no concurrent.futures import.
+    code = (
+        "import sys, threading\n"
+        "started = []\n"
+        "start = threading.Thread.start\n"
+        "threading.Thread.start = lambda self: started.append(self) or start(self)\n"
+        "from kreversible.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(rc, len(started), threading.active_count(), 'concurrent.futures' in sys.modules)\n"
+    )
+    argv = ["pre", "--graph", write(tmp_path, "g", P3), "--config", write(tmp_path, "y", ALL_PLUS3), "--k", "1"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kreversible.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["YES", ALL_PLUS3.strip(), "0 0 1 False"]
+
+
+def test_out_of_memory_in_a_reader_thread_is_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(graphs, "_WORKERS", 2)
+    monkeypatch.setattr(graphs, "_THREAD_BYTES", 0)
+    chunk_codes = graphs._chunk_codes
+
+    def helper_fails(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("Unable to allocate 12.0 MiB for an array")
+        return chunk_codes(*args)
+
+    monkeypatch.setattr(graphs, "_chunk_codes", helper_fails)
+    before = threading.active_count()
+    rc = main(["pre", "--graph", write(tmp_path, "g", P3), "--config", write(tmp_path, "y", GOE), "--k", "1"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == "error: out of memory: Unable to allocate 12.0 MiB for an array\n"
+    assert threading.active_count() == before
 
 
 def test_oversized_inputs_are_exit_2(tmp_path, capsys, monkeypatch):

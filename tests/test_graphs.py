@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -668,6 +669,133 @@ def test_graph_fast_path_agrees_with_line_parser(case):
     if canonical:
         assert _same(_outcome(_parse_graph_canonical, text), expected)
     assert _same(_outcome(parse_graph, text), expected)
+
+
+def _chunks(text, workers):
+    """The chunks parse_graph cuts text into on ``workers`` CPUs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_WORKERS", workers)
+        cuts = graphs._line_cuts(text)
+    return [text[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_texts(), st.sampled_from([1, 2, 3]))
+@example(case=(True, "3 2\n0 1\n1 2\n"), workers=2)
+@example(case=(True, "4 3\n2 3\n0 1\n1 2\n"), workers=3)  # runs out of order: a merge
+def test_chunked_parse_agrees_with_line_parser(case, workers):
+    _, text = case
+    expected = _outcome(_parse_graph_lines, text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_WORKERS", workers)
+        mp.setattr(graphs, "_THREAD_BYTES", 0)
+        assert _same(_outcome(parse_graph, text), expected)
+
+
+_PAD = "\n" * 24  # blank lines that push the next line past a cut
+
+
+@pytest.mark.parametrize("text, workers, cut", [
+    # blank lines on both sides of the cut
+    ("3 2\n0 1\n" + _PAD + "1 2\n", 2, lambda c: c[1].startswith("\n")),
+    # a last chunk of blanks, spaces and tabs only
+    ("3 2\n0 1\n1 2\n" + " \t\n" * 12, 2, lambda c: not c[-1].split()),
+    # 18 and 19 digits (with leading zeros) on the line after a cut
+    ("3 2\n0 1\n" + _PAD + "000000000000000001 2\n", 2, lambda c: c[1].split()[0] == "0" * 17 + "1"),
+    ("3 2\n0 1\n" + _PAD + "0000000000000000001 2\n", 2, lambda c: len(c[1].split()[0]) == 19),
+    ("3 2\n0 1\n" + _PAD + "1 2 \n", 2, lambda c: c[1].endswith(" \n")),
+    # tabs, and a file that does not end with a newline
+    ("3 2\n0\t1\n" + _PAD + "1\t\t2", 2, lambda c: c[1].endswith("2")),
+    # a duplicate edge split across chunks, and one within a chunk
+    ("3 2\n0 1\n" + _PAD + "1 0\n", 2, lambda c: "1 0" in c[1]),
+    ("3 3\n0 1\n" + _PAD + "1 2\n2 1\n", 2, lambda c: "1 2\n2 1" in c[1]),
+    # a loop in chunk 2
+    ("4 3\n0 1\n" + _PAD + "1 2\n" + _PAD + "3 3\n", 3, lambda c: "3 3" in c[2]),
+    # out of range, and one edge line too many or too few, in the last chunk
+    ("3 2\n0 1\n" + _PAD + "1 3\n", 2, lambda c: "1 3" in c[1]),
+    ("3 1\n0 1\n" + _PAD + "1 2\n", 2, lambda c: "1 2" in c[1]),
+    ("3 3\n0 1\n" + _PAD + "1 2\n", 2, lambda c: "1 2" in c[1]),
+    # a header split from its line, and a stray byte after a cut
+    ("3\n2\n" + _PAD + "0 1\n1 2\n", 2, lambda c: "0 1" in c[1]),
+    ("3 2\n0 1\n" + _PAD + "1 2\r\n", 2, lambda c: "\r" in c[1]),
+    # the runs' ranges do not ascend, so a merge orders them
+    ("5 3\n3 4\n" + _PAD + "0 1\n" + _PAD + "1 2\n", 3, lambda c: "0 1" in c[1]),
+])
+def test_chunk_cuts_agree_with_line_parser(text, workers, cut):
+    chunks = _chunks(text, workers)
+    assert len(chunks) == workers and "".join(chunks) == text and cut(chunks)
+    expected = _outcome(_parse_graph_lines, text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_WORKERS", workers)
+        mp.setattr(graphs, "_THREAD_BYTES", 0)
+        for t in (text, text.encode()):
+            assert _same(_outcome(parse_graph, t), expected)
+            # the chunks decide every canonical valid file themselves
+            a = graphs._ascii_bytes(t)
+            chunked = graphs._parse_graph_chunks(t, a)
+            valid = isinstance(expected, Graph) and graphs._canonical_token_count(a) is not None
+            assert chunked == (expected if valid else None)
+
+
+def test_chunks_read_large_files(monkeypatch):
+    # gen's layout as str and bytes, and its edges reversed, which the runs'
+    # merge puts back in order; up to 8 threads switching every microsecond
+    g = random_graph(3000, 12_000, 4)
+    text = write_graph(g)
+    body = text.splitlines(keepends=True)
+    monkeypatch.setattr(graphs, "_THREAD_BYTES", 0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in (text, text.encode(), body[0] + "".join(body[:0:-1])):
+            for workers in (2, 3, 8):
+                monkeypatch.setattr(graphs, "_WORKERS", workers)
+                assert graphs._parse_graph_chunks(t, graphs._ascii_bytes(t)) == g
+                assert parse_graph(t) == g
+                assert write_graph(g) == text
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_one_cpu_runs_the_one_chunk_path(monkeypatch):
+    def no_thread(self):
+        raise AssertionError("a thread was started")
+
+    def no_chunks(*args):
+        raise AssertionError("the file was cut into chunks")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    monkeypatch.setattr(graphs, "_parse_graph_chunks", no_chunks)
+    monkeypatch.setattr(graphs, "_WORKERS", 1)
+    monkeypatch.setattr(graphs, "_THREAD_BYTES", 0)
+    g = random_graph(500, 2000, 2)
+    text = write_graph(g)
+    assert text == _write_graph_lines(g)
+    assert parse_graph(text) == g
+
+
+def test_chunked_reads_and_writes_leave_no_thread(monkeypatch):
+    monkeypatch.setattr(graphs, "_WORKERS", 3)
+    monkeypatch.setattr(graphs, "_THREAD_BYTES", 0)
+    before = threading.active_count()
+    g = random_graph(500, 2000, 3)
+    assert parse_graph(write_graph(g)) == g
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("shift", [-1, 0, 1])  # m just below, at and above the cutoff
+def test_chunked_write_matches_one_chunk(monkeypatch, workers, shift):
+    g = random_graph(1000, 600 + shift, 5)  # ids of 3 digits: 8 bytes a row
+    monkeypatch.setattr(graphs, "_THREAD_BYTES", 8 * 600)
+    monkeypatch.setattr(graphs, "_WORKERS", 1)
+    one = write_graph(g)
+    monkeypatch.setattr(graphs, "_WORKERS", workers)
+    calls = []
+    on_threads = graphs._on_threads
+    monkeypatch.setattr(graphs, "_on_threads", lambda fn, jobs: calls.append(len(jobs)) or on_threads(fn, jobs))
+    assert write_graph(g) == one == _write_graph_lines(g)
+    assert calls == [workers if shift > 0 else 1]
 
 
 @st.composite

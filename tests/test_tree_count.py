@@ -200,6 +200,21 @@ def test_large_counts_agree_with_the_decision_and_the_sign_flip():
                 assert count_predecessors_tree(t, k, -y) == c
 
 
+def test_count_lists_only_the_upper_tree(monkeypatch):
+    # Above _SMALL_N the scalar loop's lists cover the ranks the int64 rounds
+    # leave and the settled children those read, not the whole tree.
+    g = random_tree(20_000, seed=9)
+    t = root_tree(g, 0)
+    y = step(g, 2, random_config(g.n, seed=3))
+    ranks, parent, cptr, ys, cells = tree_count._settle(t, 2, y)
+    assert len(ys) == len(parent) == len(cells) == len(cptr) - 1 < g.n // 4
+    left = set(ranks)
+    assert all((c is None) == (i in left) for i, c in enumerate(cells))
+    count = count_predecessors_tree(t, 2, y)
+    monkeypatch.setattr(graphs, "_SMALL_N", g.n)  # the scalar loop alone
+    assert count_predecessors_tree(root_tree(g, 0), 2, y) == count > 0
+
+
 def test_subset_route_guards_wide_vertices():
     t = root_tree(hub_spokes_tree(12), 0)
     with pytest.raises(ValueError, match="children"):
