@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, as_config, max_degree
+from .graphs import Graph, _csgraph, as_config, max_degree
 
 __all__ = [
     "TwoSatInstance",
@@ -156,7 +156,6 @@ def _tarjan_components(nn: int, src: list[int], dst: list[int]) -> list[int]:
 
 def _scc_labels(nn: int, src, dst) -> np.ndarray:
     """scipy's SCC label per node, checked to be in reverse topological order."""
-    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
     src = np.asarray(src, dtype=np.int64)
@@ -172,8 +171,7 @@ def _scc_labels(nn: int, src, dst) -> np.ndarray:
     tails = codes // nn
     indptr = np.zeros(nn + 1, dtype=np.int64)
     np.cumsum(np.bincount(tails, minlength=nn), out=indptr[1:])
-    # float64 weights, the dtype csgraph works in, so it makes no copy.
-    adj = csr_matrix((np.ones(codes.size), codes - tails * nn, indptr), shape=(nn, nn))
+    adj = _csgraph(indptr, codes - tails * nn, nn)
     _, lab = connected_components(adj, directed=True, connection="strong")
     # scipy does not document its label order, and the assignment rule below
     # is only sound if no arc leads to a higher label.

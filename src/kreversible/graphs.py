@@ -82,12 +82,14 @@ class Graph:
         loops = u == v
         if loops.any():
             raise ValueError(f"loop at vertex {int(u[np.argmax(loops)])}")
-        codes = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
-        repeats = codes[1:] == codes[:-1]
-        if repeats.any():
-            # The first repeated code is the smallest duplicated pair, u < v.
-            u, v = divmod(int(codes[np.argmax(repeats)]), n)
-            raise ValueError(f"duplicate edge {u} {v}")
+        codes = np.minimum(u, v) * n + np.maximum(u, v)
+        if not (codes[1:] > codes[:-1]).all():  # as gen and write_graph's edges do
+            codes.sort()
+            repeats = codes[1:] == codes[:-1]
+            if repeats.any():
+                # The first repeated code is the smallest duplicated pair, u < v.
+                u, v = divmod(int(codes[np.argmax(repeats)]), n)
+                raise ValueError(f"duplicate edge {u} {v}")
         self._set_codes(int(n), codes)
 
     def _set_codes(self, n: int, codes: np.ndarray) -> None:
@@ -278,6 +280,17 @@ def _ascii_bytes(text) -> np.ndarray | None:
 # Longest token the canonical fast path reads: 18 digits always fit in int64,
 # while np.fromstring silently clamps longer ones.
 _MAX_FAST_DIGITS = 18
+_SPACE_NEWLINE = np.frombuffer(b" \n", dtype=np.uint16)[0]  # as one native uint16
+
+
+def _write_graph_token_count(a: np.ndarray, sep: np.ndarray, s: np.ndarray) -> int | None:
+    """Token count of bytes in write_graph's layout, else None, read off the
+    separators ``s`` at ``sep`` alone: they alternate space and newline, the
+    last one ends the bytes, and 1-18 digits precede each."""
+    if s.size % 2 or not s.size or sep[-1] != a.size - 1 or not (s.view(np.uint16) == _SPACE_NEWLINE).all():
+        return None
+    gap = np.diff(sep, prepend=-1)  # each separator and the digits before it
+    return int(s.size) if gap.min() > 1 and gap.max() <= _MAX_FAST_DIGITS + 1 else None
 
 
 def _canonical_token_count(a: np.ndarray, least: int = 2) -> int | None:
@@ -288,6 +301,9 @@ def _canonical_token_count(a: np.ndarray, least: int = 2) -> int | None:
     # Every check runs over the separators, the non-digit bytes.
     sep = np.flatnonzero((a - np.uint8(48)) > 9)
     s = a[sep]
+    count = _write_graph_token_count(a, sep, s)
+    if count is not None:
+        return count  # even and nonzero, so at least ``least``
     nl = s == 10
     if np.count_nonzero(nl | (s == 32) | (s == 9)) != sep.size:
         return None
@@ -359,14 +375,15 @@ def _line_cuts(text) -> list[int]:
     return cuts
 
 
-def _chunk_codes(a: np.ndarray, n: int, first: bool) -> np.ndarray | None:
-    """Sorted edge codes of a line-aligned chunk in canonical shape, or None
-    if it is not canonical or holds an edge Graph(n, ...) would refuse.  The
-    first chunk opens with the header, which holds the only tokens it skips;
-    any other may hold no token at all."""
+def _chunk_codes(a: np.ndarray, n: int, first: bool):
+    """Sorted edge codes of a line-aligned chunk in canonical shape; None if
+    it holds an out-of-range edge or a loop; False if its layout is not
+    canonical, and then neither is the file's (or the chunk is its first
+    and holds blank lines only).  The first chunk opens with the header,
+    which holds the only tokens it skips; any other may hold no token."""
     count = _canonical_token_count(a, 2 if first else 0)
     if count is None:
-        return None
+        return False
     tok = np.fromstring(a, dtype=np.int64, count=count, sep=" ")[2 if first else 0:]
     if tok.size and int(tok.max()) >= n:
         return None
@@ -375,16 +392,16 @@ def _chunk_codes(a: np.ndarray, n: int, first: bool) -> np.ndarray | None:
         return None
     codes = np.minimum(u, v) * n + np.maximum(u, v)
     del tok, u, v  # the chunk's tokens need not outlive its codes
-    codes.sort()
-    if (codes[1:] == codes[:-1]).any():
-        return None
+    if not (codes[1:] > codes[:-1]).all():
+        codes.sort()
     return codes
 
 
-def _parse_graph_chunks(text, a: np.ndarray) -> Graph | None:
+def _parse_graph_chunks(text, a: np.ndarray, not_canonical=None):
     """The graph of a canonical file read as line-aligned chunks on
-    _on_threads, or None, so that the one-chunk parse decides it, whenever
-    a chunk is not canonical or the graph is not valid."""
+    _on_threads; ``not_canonical`` if a chunk's layout is not canonical;
+    else None, so that the one-chunk parse decides it: the file did not
+    split, or the graph was refused."""
     cuts = _line_cuts(text)
     # Every chunk needs n, so the header is read here: if the first chunk is
     # canonical, its first two tokens are the first two that split() finds.
@@ -396,12 +413,13 @@ def _parse_graph_chunks(text, a: np.ndarray) -> Graph | None:
         return None
     jobs = [(a[lo:hi], n, lo == 0) for lo, hi in zip(cuts, cuts[1:])]
     runs = _on_threads(_chunk_codes, jobs)
+    if any(r is False for r in runs):
+        return not_canonical
     if any(r is None for r in runs) or sum(r.size for r in runs) != m:
         return None
-    runs = [r for r in runs if r.size]
-    codes = np.concatenate(runs) if runs else np.zeros(0, dtype=np.int64)
-    # gen and write_graph emit the edges sorted, so the runs' ranges ascend
-    if any(r[-1] >= s[0] for r, s in zip(runs, runs[1:])):
+    codes = np.concatenate(runs)
+    # gen and write_graph emit the edges sorted, so the joined runs ascend
+    if not (codes[1:] > codes[:-1]).all():
         codes.sort(kind="stable")  # a merge of the sorted runs
         if (codes[1:] == codes[:-1]).any():
             return None
@@ -421,9 +439,9 @@ def _parse_graph_canonical(text) -> Graph | None:
     if a is None:
         return None
     if a.size > _THREAD_BYTES and _WORKERS > 1:
-        g = _parse_graph_chunks(text, a)
+        g = _parse_graph_chunks(text, a, not_canonical=False)
         if g is not None:
-            return g
+            return g or None  # False sends the file to the line parser
     count = _canonical_token_count(a)
     if count is None:
         return None
@@ -619,6 +637,17 @@ def config_list(y, n: int) -> list[int]:
 _SMALL_N = 512
 
 
+def _csgraph(indptr: np.ndarray, indices: np.ndarray, n: int):
+    """n x n CSR matrix of the arcs ``v -> indices[indptr[v]:indptr[v+1]]``, in
+    float64, which csgraph would copy other data to, and in the index dtype
+    scipy.sparse picks: int32 while it holds n and the arc count."""
+    from scipy.sparse import csr_matrix
+
+    dtype = np.int32 if max(n, indices.size) <= np.iinfo(np.int32).max else np.int64
+    arcs = (np.ones(indices.size), indices.astype(dtype, copy=False), indptr.astype(dtype, copy=False))
+    return csr_matrix(arcs, shape=(n, n))
+
+
 def _bfs_from(g: Graph, root: int):
     """BFS in time independent of depth: (parents, -1 for root and
     unreached vertices; visit order of the vertices reached; cptr).  Above
@@ -629,14 +658,11 @@ def _bfs_from(g: Graph, root: int):
     order."""
     n = g.n
     if n > _SMALL_N:
-        from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import breadth_first_order
 
         # The CSR holds both arcs of every edge, so directed=True searches
-        # the undirected graph without building a transpose.  float64 is
-        # csgraph's working dtype: other data would be copied to it.
-        indptr, indices = g._csr()
-        adj = csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+        # the undirected graph without building a transpose.
+        adj = _csgraph(*g._csr(), n)
         order, pred = breadth_first_order(adj, root, directed=True, return_predecessors=True)
         parent = pred.astype(np.int64)
         parent[parent < 0] = -1

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _advance
-from .graphs import Graph, as_config, _canonical_labels
+from .graphs import Graph, as_config, _canonical_labels, _csgraph
 
 __all__ = ["SameStatePartition", "same_state_partition", "find_predecessor_k1"]
 
@@ -78,21 +78,21 @@ def _partition_small(g: Graph, ys: list[int]):
 def _regions(g: Graph, y: np.ndarray):
     """(region label per vertex, in scipy's numbering; region count;
     vertex_locked; component_locked)."""
-    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
     n = g.n
     eu, ev = g.edge_arrays()
     differs = y[eu] != y[ev]
-    same = ~differs
+    # index lists, which numpy takes from faster than it compresses by a mask
+    same, cut = np.flatnonzero(~differs), np.flatnonzero(differs)
     # The canonical edges are sorted by (u, v), so the same-state ones are
     # already a CSR of the arcs u -> v, each row's columns ascending.
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(eu[same], minlength=n), out=indptr[1:])
-    mat = csr_matrix((np.ones(indptr[-1]), ev[same], indptr), shape=(n, n))
-    ncomp, labels = connected_components(mat, directed=False)
+    ncomp, labels = connected_components(_csgraph(indptr, ev[same], n), directed=False)
     # under k = 1 a vertex keeps its state iff no neighbour differs from it
-    vertex_locked = np.bincount(eu, differs, n) + np.bincount(ev, differs, n) == 0
+    vertex_locked = np.ones(n, dtype=bool)
+    vertex_locked[eu[cut]] = vertex_locked[ev[cut]] = False
     component_locked = np.zeros(ncomp, dtype=bool)
     component_locked[labels[vertex_locked]] = True
     return labels, ncomp, vertex_locked, component_locked

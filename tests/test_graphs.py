@@ -29,6 +29,7 @@ from kreversible.graphs import (
     _parse_graph_canonical,
     _parse_graph_lines,
 )
+from kreversible.cli import main
 from kreversible.generators import random_graph, random_tree, tree_from_pruefer
 from helpers import (all_graphs, all_labeled_trees, built_views, cycle_graph, path_graph, relabel,
                      star_graph)
@@ -529,11 +530,30 @@ def test_decimal_bytes_reaches_ten_digits():
     assert graphs._decimal_bytes(np.empty(0, dtype=np.uint32), np.uint8(10)).size == 0
 
 
+# write_graph's files with m = 0 and 1 and ids of 1 to 18 digits: a Graph
+# with edges has at most 10-digit ids, one without them an n of any width.
+_WRITTEN = [write_graph(Graph(10**d, [])) for d in range(18)]
+_WRITTEN += [write_graph(Graph(10**d + 1, [(0, 10**d)])) for d in range(10)]
+_WRITTEN += [write_graph(random_graph(40, 60, 1))]
+# Near misses of that layout, each one edit of the last file.
+_NEAR_MISSES = [
+    _WRITTEN[-1][:-1],  # no final newline
+    _WRITTEN[-1] + "7",  # a last line of one token, with no newline
+    _WRITTEN[-1].replace(" ", "  ", 1),  # a double space
+    _WRITTEN[-1].replace(" ", "\t", 1),  # a tab
+    _WRITTEN[-1].replace("\n", "\n\n", 1),  # a blank line
+    " " + _WRITTEN[-1],  # a leading space
+    _WRITTEN[-1].replace("\n0 ", "\n" + "0" * 19 + " ", 1),  # a 19-digit token
+    _WRITTEN[-1].replace("\n", "\r\n"),  # CRLF
+]
+
+
 @pytest.mark.parametrize("text", [
     "1 0", "1 0\n", "\n5 0", "3 1\n0 2", b"3 1\n\n0 2\n\n",
     "3 2\n0\t1\n1 \t 2\n",  # tabs
     "3   2\n  0  1\n1    2   \n",  # runs of spaces
     "\n\n3 2\n\n0 1\n\n\n1 2\n\n",  # blank lines
+    *_WRITTEN,  # write_graph's layout
 ])
 def test_short_canonical_files_take_the_fast_path(text):
     assert _parse_graph_canonical(text) == _parse_graph_lines(text)
@@ -663,6 +683,16 @@ def graph_texts(draw):
 @example(case=(False, "3 1\n0 1\n1 2\n"))  # one line too many
 @example(case=(False, "3 1\n0 1:\n"))  # ':' follows '9'
 @example(case=(False, "3 1\n0\x0b1\n"))  # a line break to str.splitlines
+@example(case=(True, "3 1\n0 999999999999999999\n"))  # write_graph's layout, refused
+@example(case=(True, "100000000000000000 1\n0 1\n"))
+@example(case=(True, _NEAR_MISSES[0]))
+@example(case=(False, _NEAR_MISSES[1]))
+@example(case=(True, _NEAR_MISSES[2]))
+@example(case=(True, _NEAR_MISSES[3]))
+@example(case=(True, _NEAR_MISSES[4]))
+@example(case=(True, _NEAR_MISSES[5]))
+@example(case=(False, _NEAR_MISSES[6]))
+@example(case=(False, _NEAR_MISSES[7]))
 def test_graph_fast_path_agrees_with_line_parser(case):
     canonical, text = case
     expected = _outcome(_parse_graph_lines, text)
@@ -720,6 +750,11 @@ _PAD = "\n" * 24  # blank lines that push the next line past a cut
     ("3 2\n0 1\n" + _PAD + "1 2\r\n", 2, lambda c: "\r" in c[1]),
     # the runs' ranges do not ascend, so a merge orders them
     ("5 3\n3 4\n" + _PAD + "0 1\n" + _PAD + "1 2\n", 3, lambda c: "0 1" in c[1]),
+    # write_graph's layout in every chunk, and near misses of it in the last
+    (_WRITTEN[-1], 3, lambda c: all(x.endswith("\n") for x in c)),
+    (_WRITTEN[-1][:-1], 2, lambda c: not c[1].endswith("\n")),
+    (_WRITTEN[-1][:-4] + "  " + _WRITTEN[-1][-3:], 2, lambda c: "  " in c[1]),
+    (_WRITTEN[-1] + "# end\n", 2, lambda c: "#" in c[1]),
 ])
 def test_chunk_cuts_agree_with_line_parser(text, workers, cut):
     chunks = _chunks(text, workers)
@@ -735,6 +770,66 @@ def test_chunk_cuts_agree_with_line_parser(text, workers, cut):
             chunked = graphs._parse_graph_chunks(t, a)
             valid = isinstance(expected, Graph) and graphs._canonical_token_count(a) is not None
             assert chunked == (expected if valid else None)
+
+
+def _short_scans(monkeypatch) -> list:
+    """What each short scan of write_graph's layout returns from here on."""
+    scans = []
+    short = graphs._write_graph_token_count
+    monkeypatch.setattr(graphs, "_write_graph_token_count", lambda *args: scans.append(short(*args)) or scans[-1])
+    return scans
+
+
+@pytest.mark.parametrize("text", _WRITTEN + _NEAR_MISSES,
+                         ids=[f"written-{i}" for i in range(len(_WRITTEN))]
+                         + [f"near-miss-{i}" for i in range(len(_NEAR_MISSES))])
+def test_short_scan_reads_write_graph_layout_only(monkeypatch, text):
+    scans = _short_scans(monkeypatch)
+    assert _same(_outcome(parse_graph, text), _outcome(_parse_graph_lines, text))
+    if text not in _WRITTEN:
+        assert None in scans
+        return
+    g = parse_graph(text)
+    assert scans[-1] == 2 * g.m + 2
+    # two chunks, cut after each line but the last; a cut list stands in for
+    # _line_cuts, which picks one cut per CPU
+    for t in (text, text.encode()):
+        a = graphs._ascii_bytes(t)
+        for cut in (np.flatnonzero(a == 10)[:-1] + 1).tolist():
+            monkeypatch.setattr(graphs, "_line_cuts", lambda t: [0, cut, len(t)])
+            scans.clear()
+            assert graphs._parse_graph_chunks(t, a) == g
+            assert None not in scans and sum(scans) == 2 * g.m + 2
+
+
+def test_gen_graph_files_take_the_short_scan(tmp_path, monkeypatch):
+    out = tmp_path / "g"
+    assert main(["gen", "graph", "--n", "20000", "--m", "40000", "--seed", "3", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert len(text) > graphs._THREAD_BYTES
+    for workers in (2, 3):
+        monkeypatch.setattr(graphs, "_WORKERS", workers)
+        scans = _short_scans(monkeypatch)
+        assert parse_graph(text).m == 40000
+        assert len(scans) == workers and None not in scans
+
+
+def test_non_canonical_chunks_are_scanned_once(monkeypatch):
+    # A chunk that is not canonical sends the file to the line parser; a
+    # canonical one that Graph refuses still gets the one-chunk scan, whose
+    # Graph call raises the line parser's error.
+    text = write_graph(random_graph(2000, 6000, 6))
+    head, body = text.split("\n", 1)
+    twice = "2000 6001\n" + body + body[:body.index("\n") + 1]  # a duplicate edge
+    calls = []
+    count = graphs._canonical_token_count
+    monkeypatch.setattr(graphs, "_canonical_token_count", lambda *args: calls.append(1) or count(*args))
+    monkeypatch.setattr(graphs, "_WORKERS", 2)
+    monkeypatch.setattr(graphs, "_THREAD_BYTES", 0)
+    for t, scans in [(text + "# end\n", 2), (twice + "# end\n", 2), (twice, 3), (text, 2)]:
+        calls.clear()
+        assert _same(_outcome(parse_graph, t), _outcome(_parse_graph_lines, t))
+        assert len(calls) == scans
 
 
 def test_chunks_read_large_files(monkeypatch):

@@ -11,6 +11,7 @@ from kreversible import (
     find_predecessor_k1,
     is_predecessor,
     same_state_partition,
+    step,
     successor_indices,
 )
 from kreversible.generators import random_config, random_graph
@@ -144,3 +145,57 @@ def test_small_and_large_paths_agree(monkeypatch):
             if w is not None:
                 assert _same_array(w, w_np)
                 assert is_predecessor(g, 1, w, y)
+
+
+def _locked_targets(g, seed):
+    """(YES targets, NO targets) of g whose locked regions span several
+    vertices.  A YES target is the step of a configuration that is constant
+    on a few radius-2 balls: each centre and its neighbours keep their
+    state, so the centre is locked and its neighbours, whose own neighbours
+    flip, are unlocked vertices of its locked region.  A NO target makes the
+    closed neighbourhoods of two vertices at distance 3 constant and
+    opposite, so their locked regions touch."""
+    rng = np.random.default_rng(seed)
+    adj = g.adjacency()
+    yes, no = [], []
+    for _ in range(3):
+        x = rng.choice(np.array([-1, 1], dtype=np.int8), size=g.n)
+        for c in rng.choice(g.n, size=g.n // 50, replace=False).tolist():
+            ball = {c, *adj[c]}
+            ball.update(w for u in adj[c] for w in adj[u])
+            x[list(ball)] = x[c]
+        yes.append(step(g, 1, x))
+    while len(no) < 3:
+        c = int(rng.integers(g.n))
+        seen, ring = {c}, {c}
+        for _ in range(3):  # the vertices at distance 1, 2, then 3 from c
+            ring = {w for u in ring for w in adj[u]} - seen
+            seen |= ring
+        if not ring:
+            continue
+        d = min(ring)
+        y = rng.choice(np.array([-1, 1], dtype=np.int8), size=g.n)
+        y[[c, *adj[c]]] = 1
+        y[[d, *adj[d]]] = -1
+        no.append(y)
+    return yes, no
+
+
+@pytest.mark.parametrize("n, seed", [(1000, 1), (5000, 2)])
+def test_paths_agree_on_large_locked_regions(monkeypatch, n, seed):
+    g = random_graph(n, 2 * n, seed)
+    yes, no = _locked_targets(g, seed)
+    for y in yes + no:
+        runs = []
+        for cutoff in _K1_PATHS.values():
+            monkeypatch.setattr(k1, "_LIST_N", cutoff)
+            runs.append((same_state_partition(g, y), find_predecessor_k1(g, y)))
+        (part, w), (part_np, w_np) = runs
+        for field in dataclasses.fields(part):
+            assert _same_array(getattr(part, field.name), getattr(part_np, field.name))
+        assert (w is None) == (w_np is None) == any(y is t for t in no)
+        if w is not None:
+            assert _same_array(w, w_np) and is_predecessor(g, 1, w, y)
+            # a locked region holds unlocked vertices, which the witness keeps
+            kept = part.component_locked[part.component] & ~part.vertex_locked
+            assert kept.any() and np.array_equal(w[kept], y[kept])
